@@ -25,7 +25,7 @@
 // "observability" section measuring the hot path with the telemetry
 // plane on vs off — -compare requires the metrics-on side to stay at 0
 // allocs/op — and an "auth" section measuring it with wire v2 frame
-// authentication (HMAC tags signed and verified per exchange) on vs
+// authentication (AES-CMAC tags signed and verified per exchange) on vs
 // off, gated the same way: the authenticated side must also stay at 0
 // allocs/op). With
 // -fleet, the internal/fleet loopback scale harness also runs (10k
@@ -602,7 +602,7 @@ type benchSnapshot struct {
 	// histograms + flight recorder) costs on the hot path; -compare
 	// requires the metrics-on side to stay at 0 allocs/op.
 	Observability *observabilitySection `json:"observability,omitempty"`
-	// Auth measures what wire v2 frame authentication (HMAC-SHA256
+	// Auth measures what wire v2 frame authentication (AES-128-CMAC
 	// tags, sign + verify per exchange) costs on the hot path; -compare
 	// requires the auth-on side to stay at 0 allocs/op.
 	Auth        *authSection                  `json:"auth,omitempty"`
@@ -888,7 +888,7 @@ func gateObservability(sec *observabilitySection) []string {
 }
 
 // authSection is the snapshot's frame-authentication cost block: the
-// hot-path measurement with wire v2 HMAC tags required on every frame
+// hot-path measurement with wire v2 AES-CMAC tags required on every frame
 // (sign each probe, verify each reply) and without, plus the derived
 // per-packet cost of authenticating. -compare gates the auth-on side
 // at absolute zero allocations — the MAC must ride the same pooled
@@ -897,7 +897,7 @@ type authSection struct {
 	AuthOn  fleet.HotPathStats `json:"auth_on"`
 	AuthOff fleet.HotPathStats `json:"auth_off"`
 	// OverheadNsPerPacket is (on − off) ns/op over packets/op — the cost
-	// of one HMAC-SHA256 sign plus one verify per probe/reply exchange.
+	// of one AES-128-CMAC sign plus one verify per probe/reply exchange.
 	OverheadNsPerPacket float64 `json:"overhead_ns_per_packet"`
 	OverheadPercent     float64 `json:"overhead_percent"`
 }

@@ -32,8 +32,7 @@
 // /statusz (per-shard JSON snapshot), /debug/flight (the flight
 // recorder's newest probe-lifecycle events per shard) and the pprof
 // handlers — one mux, explicitly registered, shut down gracefully with
-// the daemon. -pprof ADDR is the deprecated alias that used to serve
-// only pprof. SIGQUIT dumps the flight recorder to stdout without
+// the daemon. SIGQUIT dumps the flight recorder to stdout without
 // stopping the daemon (the classic thread-dump idiom); the final
 // SIGINT/SIGTERM dump also prints a latency digest off the histograms.
 //
@@ -123,7 +122,6 @@ type options struct {
 	authKeyfile string
 	authRequire bool
 	statusAddr  string
-	pprofAddr   string
 	admin       bool
 	churn       float64
 }
@@ -148,10 +146,9 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 	fs.BoolVar(&o.single, "single", false, "force the one-datagram-per-syscall fallback path")
 	fs.BoolVar(&o.reuseport, "reuseport", false, "share one UDP port across CP-fleet shards via SO_REUSEPORT (kernel flow-hash demux; falls back to distinct ports where unsupported)")
 	fs.BoolVar(&o.harden, "harden", false, "enable the adversarial defenses (BYE verification, source pinning, replay window, per-source shedding) on both fleets")
-	fs.StringVar(&o.authKeyfile, "auth-keyfile", "", "authenticate frames (wire v2 HMAC tags) with the master key read from this file; SIGHUP re-reads it and rotates live")
+	fs.StringVar(&o.authKeyfile, "auth-keyfile", "", "authenticate frames (wire v2 AES-128-CMAC tags) with the master key read from this file; SIGHUP re-reads it and rotates live")
 	fs.BoolVar(&o.authRequire, "auth-require", false, "refuse unauthenticated v1 frames outright (needs -auth-keyfile)")
 	fs.StringVar(&o.statusAddr, "status", "", "serve the status plane (/metrics, /healthz, /statusz, /debug/flight, pprof) on this address (e.g. localhost:6060)")
-	fs.StringVar(&o.pprofAddr, "pprof", "", "deprecated alias for -status (the pprof handlers live on the status mux)")
 	fs.BoolVar(&o.admin, "admin", false, "mount the runtime admin endpoints (/admin/...) on the -status mux")
 	fs.Float64Var(&o.churn, "churn", 0, "drive synthetic runtime churn at this many control-point add/remove ops per second")
 	if err := fs.Parse(args); err != nil {
@@ -175,9 +172,6 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 	}
 	if o.joinRamp == 0 {
 		o.joinRamp = fleet.DefaultJoinRamp(o.cps)
-	}
-	if o.statusAddr == "" {
-		o.statusAddr = o.pprofAddr // deprecated alias
 	}
 	if o.admin && o.statusAddr == "" {
 		return fmt.Errorf("-admin needs -status ADDR to serve the endpoints on")

@@ -22,6 +22,7 @@ func TestRejectsBadInputs(t *testing.T) {
 		{"bad device address", []string{"-device", "nope:xx", "-cps", "1", "-duration", "1ms"}},
 		{"unparseable duration", []string{"-duration", "soon"}},
 		{"unknown flag", []string{"-bogus"}},
+		{"retired -pprof alias", []string{"-pprof", "127.0.0.1:0", "-cps", "1", "-duration", "1ms"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

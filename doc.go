@@ -132,7 +132,7 @@
 //
 // Hardening's heuristics (source pinning, replay windows) cannot stop
 // an attacker who forges well-formed frames, so the wire format has an
-// authenticated version 2: every frame carries a truncated HMAC-SHA256
+// authenticated version 2: every frame carries an AES-128-CMAC
 // tag under a key derived per (control point, device) pair from a
 // master secret (internal/wire's AuthKey/DeriveKey). fleet.AuthConfig
 // enables it — Key or KeyFile for the master secret, Require to refuse

@@ -38,7 +38,7 @@ type AdvCase struct {
 	// Harden toggles the fleet defenses — the comparison axis.
 	Harden bool
 	// Auth runs both fleets with frame authentication on (shared master
-	// key, Require mode): every frame carries a v2 HMAC tag and
+	// key, Require mode): every frame carries a v2 authentication tag and
 	// unauthenticated frames are refused. The defense axis for the
 	// adv-auth-* scenarios.
 	Auth bool

@@ -130,7 +130,7 @@ type Case struct {
 	// Config.Harden) on both the CP and device fleets.
 	Harden bool
 	// Auth enables frame authentication on both fleets: a shared test
-	// master key with Require set, so every frame carries a v2 HMAC tag
+	// master key with Require set, so every frame carries a v2 authentication tag
 	// and unauthenticated frames are refused. Benign replays with Auth
 	// on must land inside the same tolerance bands as without — signing
 	// and verifying every frame must not move a single metric.

@@ -5,20 +5,20 @@ package fleet
 // PR 6's hardening (source pinning, replay windows, attempt bitmasks)
 // is heuristic — it stops attackers who cannot spoof the device's
 // address. Authentication makes the defenses cryptographic: with
-// Config.Auth set, every frame the fleet sends carries a truncated
-// HMAC-SHA256 tag (wire v2) and every frame it receives is verified
+// Config.Auth set, every frame the fleet sends carries an
+// AES-128-CMAC tag (wire v2) and every frame it receives is verified
 // before any engine sees it, so a forged reply, BYE or probe is
 // rejected no matter what source address it claims.
 //
 // The design constraints, in order:
 //
-//   - Zero allocations on the hot path. HMAC schedules are derived once
+//   - Zero allocations on the hot path. Key schedules are derived once
 //     per (control point, device) pair / per device and retained: a
 //     cpNode carries its pair schedules next to the demux state the
 //     reply path already touches, a hosted device caches one schedule
 //     per known peer (bounded by and evicted with the peer table), and
 //     per-device broadcast schedules live in the shard's devAuth table.
-//     Sign and verify then cost one HMAC each, no heap traffic — the
+//     Sign and verify then cost one CMAC each, no heap traffic — the
 //     0 allocs/op gate runs with auth ON.
 //   - Rotation never manufactures a verdict. The shard's authPlane
 //     holds the current and previous master; after SetConfig installs a
@@ -122,7 +122,7 @@ type authPlane struct {
 }
 
 // devAuthState is a shard's per-device auth state: the broadcast-key
-// schedules (BYE/announce verification — one HMAC per received frame
+// schedules (BYE/announce verification — one CMAC per received frame
 // regardless of watcher count) and the v2 high-water mark that makes
 // negotiation downgrade-proof.
 type devAuthState struct {

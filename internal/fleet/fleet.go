@@ -144,7 +144,7 @@
 // # Authenticated frames
 //
 // Config.Auth (AuthConfig) turns on wire v2: every frame the fleet
-// sends carries a truncated HMAC-SHA256 tag under a key derived per
+// sends carries an AES-128-CMAC tag under a key derived per
 // (control point, device) pair from the configured master secret, and
 // every received v2 frame is verified before dispatch — keys are
 // cached per peer so the hot path signs and verifies without
@@ -274,7 +274,7 @@ type Config struct {
 	// AdmissionQueue bounds each shard's admin-command inbox (see
 	// RuntimeConfig.AdmissionQueue). Zero means 1024.
 	AdmissionQueue int
-	// Auth configures frame authentication (wire v2, HMAC-tagged
+	// Auth configures frame authentication (wire v2, CMAC-tagged
 	// frames; see AuthConfig and auth.go). The zero value disables it.
 	Auth AuthConfig
 	// Verdicts, if non-nil, receives every terminal presence verdict
@@ -383,7 +383,7 @@ type Counters struct {
 	// ProbesShed counts probes to a hosted device dropped by per-source
 	// admission (Harden only).
 	ProbesShed uint64
-	// AuthVerified counts v2 frames whose HMAC tag verified (auth only).
+	// AuthVerified counts v2 frames whose tag verified (auth only).
 	// AuthStaleKey of them verified under the previous master inside the
 	// rotation grace window — a live rotation in progress.
 	AuthVerified uint64

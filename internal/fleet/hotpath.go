@@ -39,7 +39,7 @@ type HotPathOptions struct {
 	// default (telemetry-on) path against.
 	DisableTelemetry bool
 	// Auth enables frame authentication (wire v2) with a fixed harness
-	// master key: every probe and reply is HMAC-signed and verified.
+	// master key: every probe and reply is CMAC-signed and verified.
 	// probebench's auth section measures its ns/packet cost, and the
 	// zero-alloc gate pins that signing and verifying stay off the heap.
 	Auth bool

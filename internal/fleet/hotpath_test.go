@@ -93,7 +93,7 @@ func TestShardHotPathZeroAlloc(t *testing.T) {
 
 // TestShardHotPathZeroAllocAuth is the same gate with frame
 // authentication ON: pre-derived schedules mean signing and verifying
-// every probe and reply adds HMAC work but no heap traffic.
+// every probe and reply adds MAC work but no heap traffic.
 func TestShardHotPathZeroAllocAuth(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")

@@ -10,7 +10,7 @@
 //     reuse the observed, now-stale tag, which verification rejects.
 //   - BitFlipper injects copies of observed frames with random bits
 //     flipped — line noise and low-effort corruption. v1's CRC catches
-//     every single-bit flip; v2 has no CRC, so the HMAC tag must catch
+//     every single-bit flip; v2 has no CRC, so the authentication tag must catch
 //     body and tag corruption alike.
 //   - TagStripper re-encodes observed v2 frames as valid v1 frames
 //     (tag removed, CRC computed) — the classic downgrade-in-transit.
@@ -101,7 +101,7 @@ func (a *Tamperer) Process(at time.Duration, from, to netip.AddrPort, frame []by
 // with FlipBits random bits flipped — anywhere in the frame, header,
 // payload or trailer. No flipped copy may ever be accepted: v1 frames
 // die on the CRC, v2 frames must die on decode or on tag verification
-// (a v2 body flip leaves a structurally valid frame that only the HMAC
+// (a v2 body flip leaves a structurally valid frame that only the tag
 // can refute).
 type BitFlipper struct {
 	DeviceAddr netip.AddrPort

@@ -185,7 +185,7 @@ func (s *Server) WriteMetrics(out io.Writer) error {
 	w.Counter("fleet_replies_replayed_total", "Replies replayed inside the replay window (Harden).", one(t.RepliesReplayed))
 	w.Counter("fleet_probes_shed_total", "Probes dropped by per-source admission (Harden) or the per-device probe budget.", one(t.ProbesShed))
 	w.Counter("fleet_bad_frames_total", "Received datagrams rejected before dispatch (bad magic, version, length or checksum).", one(t.BadFrames))
-	w.Counter("fleet_auth_verified_total", "Frames whose v2 HMAC tag verified under the current key.", one(t.AuthVerified))
+	w.Counter("fleet_auth_verified_total", "Frames whose v2 authentication tag verified under the current key.", one(t.AuthVerified))
 	w.Counter("fleet_auth_stale_key_total", "Frames verified under the previous key inside the rotation grace.", one(t.AuthStaleKey))
 	w.Counter("fleet_auth_rejected_total", "v2 frames whose tag verified under no installed key.", one(t.AuthRejected))
 	w.Counter("fleet_auth_downgraded_total", "v1 frames refused because the peer negotiated v2 (or Require is set).", one(t.AuthDowngraded))

@@ -185,7 +185,7 @@ func init() {
 	})
 	Register(&Spec{
 		Name:        "conf-auth-churn",
-		Description: "conformance: the conf-churn dynamics with frame authentication on (wire v2 HMAC tags, Require mode) — signing every frame must move no metric",
+		Description: "conformance: the conf-churn dynamics with frame authentication on (wire v2 AES-128-CMAC tags, Require mode) — signing every frame must move no metric",
 		Protocol:    "dcpp",
 		Horizon:     sec(5),
 		Population: Population{UniformChurn: &UniformChurn{

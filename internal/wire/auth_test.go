@@ -229,7 +229,7 @@ func TestAuthZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkAuthSign(b *testing.B) {
-	k := NewAuthKey(testMaster)
+	k := pairKey(b, 7, 1)
 	var msg core.Message = core.ReplyMsg{From: 1, Cycle: 9, Attempt: 1, Payload: core.DCPPReply{Wait: time.Second}}
 	buf := make([]byte, 0, MaxFrameSize)
 	b.ReportAllocs()
@@ -242,7 +242,7 @@ func BenchmarkAuthSign(b *testing.B) {
 }
 
 func BenchmarkAuthVerify(b *testing.B) {
-	k := NewAuthKey(testMaster)
+	k := pairKey(b, 7, 1)
 	frame, err := AppendEncodeAuth(nil, core.ReplyMsg{From: 1, Cycle: 9, Attempt: 1,
 		Payload: core.DCPPReply{Wait: time.Second}}, k)
 	if err != nil {

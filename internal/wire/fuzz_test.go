@@ -31,7 +31,10 @@ func FuzzDecode(f *testing.F) {
 		core.AnnounceMsg{From: 4, MaxAge: 30 * time.Second},
 		core.LeaveNotice{Device: 1, Origin: 5, Seq: 77, TTL: 3},
 	}
-	key := NewAuthKey([]byte("fuzz-master"))
+	key, err := DeriveKey([]byte("fuzz-master"), PairInfo(7, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, m := range seeds {
 		b, err := Encode(m)
 		if err != nil {

@@ -11,7 +11,7 @@
 //	attempt uint8   attempt within the cycle (0 for bye/leave)
 //	payload ...     type specific (see below)
 //	trailer         v1: crc uint32, IEEE CRC-32 over everything above
-//	                v2: tag [16]byte, truncated HMAC-SHA256 over
+//	                v2: tag [16]byte, AES-128-CMAC over
 //	                    everything above (see auth.go)
 //
 // Payloads: probe/bye/empty-reply carry none; a SAPP reply carries
@@ -20,8 +20,8 @@
 // device, origin, sequence number (3×uint32) and TTL (uint8).
 //
 // Version 1 frames are integrity-checked (CRC-32 catches corruption,
-// not forgery). Version 2 frames replace the checksum with a truncated
-// HMAC-SHA256 tag keyed per sender/receiver pair: the tag subsumes the
+// not forgery). Version 2 frames replace the checksum with an
+// AES-128-CMAC tag keyed per sender/receiver pair: the tag subsumes the
 // CRC's corruption detection and additionally authenticates the frame,
 // so an on-path attacker without the key can neither forge nor tamper.
 // DecodeFrame accepts both versions structurally; verifying a v2 tag is
@@ -52,7 +52,7 @@ const Magic uint16 = 0xAD05
 const Version uint8 = 1
 
 // VersionAuth is the authenticated wire format version: the CRC-32
-// trailer is replaced by a TagSize-byte truncated HMAC-SHA256 tag.
+// trailer is replaced by a TagSize-byte AES-128-CMAC tag.
 const VersionAuth uint8 = 2
 
 // Message types on the wire.
@@ -69,7 +69,8 @@ const (
 const (
 	headerSize = 2 + 1 + 1 + 4 + 4 + 1
 	crcSize    = 4
-	// TagSize is the truncated HMAC-SHA256 tag length of a v2 frame.
+	// TagSize is the AES-128-CMAC tag length of a v2 frame: one full
+	// cipher block, untruncated.
 	TagSize = 16
 	// MaxFrameSize is the largest encoded frame (an authenticated SAPP
 	// reply: header + 16-byte payload + tag).
@@ -282,7 +283,7 @@ const (
 // replies; ProbeCount and LastProbers for SAPP replies; Wait for DCPP
 // replies; MaxAge for announces; Device, Origin, Seq and TTL for leave
 // notices. Version records the wire version the frame was decoded from
-// (encoders treat 0 as 1); Tag holds a v2 frame's unverified HMAC tag —
+// (encoders treat 0 as 1); Tag holds a v2 frame's unverified tag —
 // call AuthKey.VerifyFrame before trusting any other field of a
 // VersionAuth frame.
 type Frame struct {

@@ -282,7 +282,7 @@ type (
 	// FleetPacketConn is the single-datagram transport contract.
 	FleetPacketConn = fleet.PacketConn
 	// FleetAuthConfig enables wire v2 frame authentication: a master
-	// key (inline or from a file) every frame is HMAC-tagged under,
+	// key (inline or from a file) every frame is CMAC-tagged under,
 	// and optionally Require to refuse unauthenticated v1 frames.
 	// Runtime rotation goes through FleetRuntimeConfig.AuthKey.
 	FleetAuthConfig = fleet.AuthConfig
