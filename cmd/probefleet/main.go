@@ -491,29 +491,21 @@ func finalDump(out io.Writer, f, devFleet *fleet.Fleet) error {
 		hist = f.Histograms()
 	}
 	err := f.Close()
-	t := snap.Total
+	// cp is the control-point fleet alone — the headline; t adds the
+	// device fleet, for the defence lines and the full listing.
+	cp, t := snap.Total, snap.Total
 	if devFleet != nil {
-		d := devFleet.Snapshot().Total
-		t.AttemptMismatches += d.AttemptMismatches
-		t.RepliesForged += d.RepliesForged
-		t.ByesForged += d.ByesForged
-		t.RepliesReplayed += d.RepliesReplayed
-		t.ProbesShed += d.ProbesShed
-		t.AuthVerified += d.AuthVerified
-		t.AuthStaleKey += d.AuthStaleKey
-		t.AuthRejected += d.AuthRejected
-		t.AuthDowngraded += d.AuthDowngraded
-		t.BadFrames += d.BadFrames
+		t.Add(devFleet.Snapshot().Total)
 	}
 	fmt.Fprintf(out, "probefleet: final after %s — cps=%d/%d in=%d out=%d syscalls=%d/%d probes=%d replies=%d timers=%d errs dec=%d send=%d drop=%d coll=%d\n",
 		snap.At.Round(time.Millisecond),
-		t.LiveControlPoints, t.ControlPoints, t.PacketsIn, t.PacketsOut,
-		t.SyscallsIn, t.SyscallsOut,
-		t.ProbesOut, t.RepliesIn, t.TimersFired,
-		t.DecodeErrors, t.SendErrors, t.DemuxDrops, t.DemuxCollisions)
-	if t.HandoffsOut > 0 || t.HandoffsIn > 0 {
+		cp.LiveControlPoints, cp.ControlPoints, cp.PacketsIn, cp.PacketsOut,
+		cp.SyscallsIn, cp.SyscallsOut,
+		cp.ProbesOut, cp.RepliesIn, cp.TimersFired,
+		cp.DecodeErrors, cp.SendErrors, cp.DemuxDrops, cp.DemuxCollisions)
+	if cp.HandoffsOut > 0 || cp.HandoffsIn > 0 {
 		fmt.Fprintf(out, "probefleet: handoffs — out=%d in=%d (frames the demux landed on a non-owning shard)\n",
-			t.HandoffsOut, t.HandoffsIn)
+			cp.HandoffsOut, cp.HandoffsIn)
 	}
 	if h := t.AttemptMismatches + t.RepliesForged + t.ByesForged + t.RepliesReplayed + t.ProbesShed; h > 0 {
 		fmt.Fprintf(out, "probefleet: hardening — attempt-mismatch=%d forged replies=%d byes=%d replayed=%d shed=%d\n",
@@ -523,6 +515,18 @@ func finalDump(out io.Writer, f, devFleet *fleet.Fleet) error {
 		fmt.Fprintf(out, "probefleet: auth — verified=%d stale-key=%d rejected=%d downgrades=%d bad-frames=%d\n",
 			t.AuthVerified, t.AuthStaleKey, t.AuthRejected, t.AuthDowngraded, t.BadFrames)
 	}
+	// Every nonzero counter under its /metrics name: the lines above are
+	// a digest, and a counter they do not know still shows here.
+	fmt.Fprint(out, "probefleet: counters —")
+	for _, d := range fleet.CounterDefs {
+		if d.Count == nil {
+			continue
+		}
+		if v := *d.Count(&t); v > 0 {
+			fmt.Fprintf(out, " %s=%d", d.Name, v)
+		}
+	}
+	fmt.Fprintln(out)
 	if hist.ProbeRTT.Count > 0 {
 		us := func(v uint64) time.Duration { return (time.Duration(v) * time.Microsecond).Round(time.Microsecond) }
 		fmt.Fprintf(out, "probefleet: latency — rtt p50≤%v p99≤%v (n=%d)",

@@ -78,7 +78,11 @@
 //   - replies are demultiplexed on the shared socket by a (device,
 //     cycle) pending-probe table, with per-CP staggered cycle-number
 //     spaces (core.ProberOptions.FirstCycle) keeping keys disjoint;
-//   - per-shard counters roll up through Fleet.Snapshot; the loopback
+//   - per-shard counters roll up through Fleet.Snapshot, which holds
+//     each shard's mutex — the shard's only guard — for one copy; every
+//     counter is one Counters field and one fleet.CounterDefs row
+//     (name, help text), which /metrics, /statusz and the probefleet
+//     dump all read (internal/fleet/counters.go); the loopback
 //     scale harness (fleet.LoopbackScale, probebench -fleet) measures
 //     CPs/process and probes/s into the BENCH_<n>.json trajectory —
 //     10,000 control points reach steady state on GOMAXPROCS event-loop

@@ -354,17 +354,19 @@ func RunAdversarial(c AdvCase, seed uint64) (*AdvResult, error) {
 	a.FalseAbsent = out.falseAbsent
 	a.FalsePresent = out.falsePresent
 	a.FilteredFrames = out.net.Filtered
-	a.AttemptMismatches = out.cpCounters.AttemptMismatches + out.devCounters.AttemptMismatches
-	a.RepliesForged = out.cpCounters.RepliesForged + out.devCounters.RepliesForged
-	a.ByesForged = out.cpCounters.ByesForged + out.devCounters.ByesForged
-	a.RepliesReplayed = out.cpCounters.RepliesReplayed + out.devCounters.RepliesReplayed
-	a.ProbesShed = out.cpCounters.ProbesShed + out.devCounters.ProbesShed
+	sum := out.cpCounters // both fleets' shards: a defence fires on whichever side receives the frame
+	sum.Add(out.devCounters)
+	a.AttemptMismatches = sum.AttemptMismatches
+	a.RepliesForged = sum.RepliesForged
+	a.ByesForged = sum.ByesForged
+	a.RepliesReplayed = sum.RepliesReplayed
+	a.ProbesShed = sum.ProbesShed
 	a.ByeVerifications = out.proberStats.ByeVerifications
 	a.SpoofedByes = out.proberStats.SpoofedByes
-	a.AuthVerified = out.cpCounters.AuthVerified + out.devCounters.AuthVerified
-	a.AuthStaleKey = out.cpCounters.AuthStaleKey + out.devCounters.AuthStaleKey
-	a.AuthRejected = out.cpCounters.AuthRejected + out.devCounters.AuthRejected
-	a.AuthDowngraded = out.cpCounters.AuthDowngraded + out.devCounters.AuthDowngraded
+	a.AuthVerified = sum.AuthVerified
+	a.AuthStaleKey = sum.AuthStaleKey
+	a.AuthRejected = sum.AuthRejected
+	a.AuthDowngraded = sum.AuthDowngraded
 	if tap := out.adv; tap != nil {
 		a.InjectedFrames = tap.injected()
 		a.VictimReplies = tap.victimReplies.Load()

@@ -10,7 +10,7 @@ package fleet
 //
 //   - Command inbox: every structural mutation (add/remove/migrate,
 //     config push) is a closure queued on the owning shard's bounded
-//     cmdQueue and executed by that shard's event loop at the top of
+//     command inbox and executed by that shard's event loop at the top of
 //     its next iteration, woken by the same read-deadline poke handoffs
 //     use. Off-loop threads never hold a shard mutex across engine
 //     work, and the steady-state loop pays one extra atomic load per
@@ -54,8 +54,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"presence/internal/ident"
@@ -86,34 +84,13 @@ type shardCommand struct {
 	done chan error
 }
 
-// cmdQueue is a shard's bounded admin-command inbox. It mirrors the
-// handoff inbox exactly: a leaf mutex around an append, a flag the
-// owning loop polls at the top of every iteration and again right
-// after arming its read deadline, and a wake-up poke through the
-// socket's read deadline. The slices ping-pong (q <-> spare) so
-// steady churn allocates nothing beyond the commands themselves.
-type cmdQueue struct {
-	mu sync.Mutex
-	q  []shardCommand
-	// spare is the drained slice awaiting reuse; owned by the shard loop
-	// between drains, reinstalled as q under mu.
-	spare   []shardCommand
-	pending atomic.Bool
-}
-
 // enqueueCmd queues c on the shard's command inbox and wakes the loop,
 // rejecting when the bounded queue is full. Safe from any goroutine.
 func (s *shard) enqueueCmd(c shardCommand) error {
-	bound := int(s.fleet.admissionBound.Load())
-	s.cmd.mu.Lock()
-	if len(s.cmd.q) >= bound {
-		s.cmd.mu.Unlock()
+	if !s.cmd.put(c, int(s.fleet.admissionBound.Load())) {
 		s.admRejected.Add(1)
 		return ErrAdmissionRejected
 	}
-	s.cmd.q = append(s.cmd.q, c)
-	s.cmd.pending.Store(true)
-	s.cmd.mu.Unlock()
 	s.conn.SetReadDeadline(pastDeadline) //nolint:errcheck // fails only when closed
 	return nil
 }
@@ -122,19 +99,14 @@ func (s *shard) enqueueCmd(c shardCommand) error {
 // loop under the shard mutex, inside a send batch (so sends the
 // commands coalesce flush with the iteration's burst).
 func (s *shard) drainCommands() {
-	s.cmd.mu.Lock()
-	q := s.cmd.q
-	s.cmd.q = s.cmd.spare[:0]
-	s.cmd.pending.Store(false)
-	s.cmd.mu.Unlock()
+	q := s.cmd.take()
 	for i := range q {
 		err := q[i].fn(s)
 		if q[i].done != nil {
 			q[i].done <- err
 		}
-		q[i] = shardCommand{} // drop the closure so the spare slice pins nothing
 	}
-	s.cmd.spare = q
+	s.cmd.recycle(q)
 }
 
 // runOn executes fn on s's event loop via the command inbox and waits
@@ -148,9 +120,7 @@ func (f *Fleet) runOn(s *shard, fn func(*shard) error) error {
 		if s.closed {
 			return errClosed
 		}
-		err := fn(s)
-		s.publishLocked()
-		return err
+		return fn(s)
 	}
 	done := make(chan error, 1)
 	if err := s.enqueueCmd(shardCommand{fn: fn, done: done}); err != nil {
@@ -366,16 +336,7 @@ func (s *shard) admitDeviceProbe(device ident.NodeID) bool {
 		b = &srcBucket{tokens: float64(s.rt.PerDeviceBurst), last: now}
 		s.devBudget[device] = b
 	}
-	b.tokens += (now - b.last).Seconds() * s.rt.PerDeviceProbeHz
-	if max := float64(s.rt.PerDeviceBurst); b.tokens > max {
-		b.tokens = max
-	}
-	b.last = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
+	return b.take(now, s.rt.PerDeviceProbeHz, s.rt.PerDeviceBurst)
 }
 
 // HomeShard returns the shard index a node id hashes to — where
@@ -711,8 +672,6 @@ func (s *shard) migrateLocked(dst *shard, ids []ident.NodeID) int {
 		moved++
 	}
 	if moved > 0 {
-		dst.publishLocked()
-		s.publishLocked()
 		// Wake dst's loop: it may be parked past the earliest alarm that
 		// just landed in its wheel.
 		dst.conn.SetReadDeadline(pastDeadline) //nolint:errcheck // fails only when closed

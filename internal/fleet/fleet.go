@@ -87,15 +87,16 @@
 // equivalence test pins that a single socket, distinct ports and a
 // shared-address group produce identical protocol outcomes.
 //
-// # Lock-free stats scraping
+// # Stats scraping
 //
-// Fleet.Snapshot never blocks a shard event loop: every mutating
-// critical section republishes its counters into a cache-line-padded
-// atomic mirror before unlocking, so a scraper either wins an
-// uncontended TryLock (exact values, idle shards park in the socket
-// read without holding the mutex) or reads the mirror (at most one
-// critical section stale). Monitoring a hot fleet costs the hot path
-// nothing.
+// The shard mutex is a shard's only guard. Fleet.Snapshot holds each
+// shard's mutex for one struct copy — the counters plus five gauge
+// reads — so its values are exact, and it waits at most for the
+// critical section in progress (one timer cascade or one received
+// burst; an idle shard parks in the socket read without the mutex).
+// The loop pays nothing per iteration to be scrapeable; the benchmark's
+// udp-churn workload runs 20 Hz scrapes beside the packet path to keep
+// that trade honest (EXPERIMENTS.md "Guarding the shard once").
 //
 // # Transport seam
 //
@@ -307,9 +308,6 @@ func (c *Config) applyDefaults() {
 	if c.TimerTick == 0 {
 		c.TimerTick = defaultWheelTick
 	}
-	if c.PendingTTL == 0 {
-		c.PendingTTL = 30 * time.Second
-	}
 	if c.MaxPeersPerDevice == 0 {
 		c.MaxPeersPerDevice = 65536
 	}
@@ -318,15 +316,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Batch <= 0 {
 		c.Batch = defaultBatch
-	}
-	if c.ReplayWindow == 0 {
-		c.ReplayWindow = 5 * time.Second
-	}
-	if c.PerSourceProbeHz == 0 {
-		c.PerSourceProbeHz = 15
-	}
-	if c.PerSourceBurst == 0 {
-		c.PerSourceBurst = 20
 	}
 	if c.FlightRecorder == 0 {
 		c.FlightRecorder = defaultFlightEvents
@@ -337,136 +326,6 @@ func (c *Config) applyDefaults() {
 // loaded shard amortises a syscall over a big burst, small enough that
 // the per-shard rings stay a few hundred KiB.
 const defaultBatch = 64
-
-// Counters tracks one shard's activity. Cumulative fields only ever
-// grow; gauge fields (WheelDepth, ControlPoints, LiveControlPoints,
-// PendingProbes) are point-in-time.
-type Counters struct {
-	PacketsIn    uint64
-	PacketsOut   uint64
-	DecodeErrors uint64
-	// BadFrames counts received frames with a good magic but an
-	// unsupported wire version — a subset of DecodeErrors, and the
-	// signature of a version flood or a speaker from the future. The
-	// decoder returns a static sentinel for these, so the flood costs no
-	// allocation.
-	BadFrames  uint64
-	SendErrors uint64
-	// ProbesOut counts probes sent by hosted control points (a subset of
-	// PacketsOut; the rest are device replies/byes/announces).
-	ProbesOut uint64
-	// RepliesIn counts replies demultiplexed to a hosted control point.
-	RepliesIn uint64
-	// DemuxDrops counts frames that matched no hosted node: replies with
-	// no pending probe (duplicates, latecomers), probes on a shard
-	// without a device, byes for unwatched devices.
-	DemuxDrops uint64
-	// DemuxCollisions counts (device, cycle) keys that were claimed by
-	// two different live control points — see the package comment.
-	DemuxCollisions uint64
-	// TimersFired counts timer-wheel expirations delivered to engines.
-	TimersFired uint64
-	// AttemptMismatches counts replies whose (device, cycle) was pending
-	// but whose Attempt named no probe actually sent in that cycle — a
-	// forged or corrupted echo. The pending entry is kept. Always on.
-	AttemptMismatches uint64
-	// RepliesForged counts replies rejected because they arrived from an
-	// address other than the probed device's (Harden only).
-	RepliesForged uint64
-	// ByesForged counts BYE deliveries suppressed because the frame
-	// arrived from an address other than the device's (Harden only).
-	ByesForged uint64
-	// RepliesReplayed counts replies for a (device, cycle) accepted
-	// within the last Config.ReplayWindow — replayed copies, as opposed
-	// to the never-pending latecomers in DemuxDrops (Harden only).
-	RepliesReplayed uint64
-	// ProbesShed counts probes to a hosted device dropped by per-source
-	// admission (Harden only).
-	ProbesShed uint64
-	// AuthVerified counts v2 frames whose tag verified (auth only).
-	// AuthStaleKey of them verified under the previous master inside the
-	// rotation grace window — a live rotation in progress.
-	AuthVerified uint64
-	AuthStaleKey uint64
-	// AuthRejected counts v2 frames whose tag verified under no accepted
-	// key: tampered, forged, or signed with an expired master.
-	AuthRejected uint64
-	// AuthDowngraded counts unauthenticated v1 frames rejected because
-	// the sender had already spoken v2 (the per-device high-water mark)
-	// or because AuthConfig.Require closes the v1 window entirely.
-	AuthDowngraded uint64
-	// HandoffsOut counts frames this shard received but forwarded to the
-	// owning shard, and HandoffsIn counts frames received that way. With
-	// Config.ReusePort set every shard socket shares one port and the
-	// kernel demultiplexes by flow hash, not by the fleet's NodeID hash,
-	// so a reply can land on any shard and is handed off in-process to
-	// the shard that owns the control point. On unrouted fleets both stay
-	// zero until a DrainShard/Rebalance migration: replies of in-flight
-	// cycles then chase the old socket and ride the same handoff path to
-	// the control point's new shard.
-	HandoffsOut uint64
-	HandoffsIn  uint64
-	// Migrations counts control points migrated INTO this shard by
-	// DrainShard/Rebalance.
-	Migrations uint64
-	// AdmissionRejected counts admin commands refused because this
-	// shard's bounded command inbox (RuntimeConfig.AdmissionQueue) was
-	// full.
-	AdmissionRejected uint64
-	// SyscallsIn and SyscallsOut count transport read and write calls.
-	// On the batch path one call moves a whole burst (one
-	// recvmmsg/sendmmsg syscall on kernel sockets), so
-	// PacketsIn/SyscallsIn is the mean receive batch fill; on the
-	// single-datagram fallback every packet is its own call and the
-	// ratios pin at 1.
-	SyscallsIn  uint64
-	SyscallsOut uint64
-
-	// WheelDepth is the number of pending timers (gauge).
-	WheelDepth int
-	// ControlPoints is the number of hosted CPs (gauge).
-	ControlPoints int
-	// LiveControlPoints is the number of hosted CPs that have not
-	// stopped (device lost or bye) (gauge).
-	LiveControlPoints int
-	// PendingProbes is the size of the demux table (gauge).
-	PendingProbes int
-	// Devices is 1 when the shard hosts a device engine (gauge).
-	Devices int
-}
-
-func (c *Counters) add(o Counters) {
-	c.PacketsIn += o.PacketsIn
-	c.PacketsOut += o.PacketsOut
-	c.DecodeErrors += o.DecodeErrors
-	c.BadFrames += o.BadFrames
-	c.SendErrors += o.SendErrors
-	c.ProbesOut += o.ProbesOut
-	c.RepliesIn += o.RepliesIn
-	c.DemuxDrops += o.DemuxDrops
-	c.DemuxCollisions += o.DemuxCollisions
-	c.AttemptMismatches += o.AttemptMismatches
-	c.RepliesForged += o.RepliesForged
-	c.ByesForged += o.ByesForged
-	c.RepliesReplayed += o.RepliesReplayed
-	c.ProbesShed += o.ProbesShed
-	c.AuthVerified += o.AuthVerified
-	c.AuthStaleKey += o.AuthStaleKey
-	c.AuthRejected += o.AuthRejected
-	c.AuthDowngraded += o.AuthDowngraded
-	c.HandoffsOut += o.HandoffsOut
-	c.HandoffsIn += o.HandoffsIn
-	c.Migrations += o.Migrations
-	c.AdmissionRejected += o.AdmissionRejected
-	c.TimersFired += o.TimersFired
-	c.SyscallsIn += o.SyscallsIn
-	c.SyscallsOut += o.SyscallsOut
-	c.WheelDepth += o.WheelDepth
-	c.ControlPoints += o.ControlPoints
-	c.LiveControlPoints += o.LiveControlPoints
-	c.PendingProbes += o.PendingProbes
-	c.Devices += o.Devices
-}
 
 // Snapshot is a consistent-per-shard view of the fleet's counters.
 type Snapshot struct {
@@ -568,11 +427,23 @@ func attemptBit(a uint8) uint32 {
 	return 1 << a
 }
 
-// srcBucket is one source address's probe-admission token bucket
-// (Harden only).
+// srcBucket is one token bucket: a source address's probe admission
+// (Harden only) or a device's outgoing-probe budget (shedding only).
 type srcBucket struct {
 	tokens float64
 	last   time.Duration
+}
+
+// take refills the bucket at hz up to burst, then charges one token;
+// false means the bucket is empty and the probe is over its rate.
+func (b *srcBucket) take(now time.Duration, hz float64, burst int) bool {
+	b.tokens = min(b.tokens+(now-b.last).Seconds()*hz, float64(burst))
+	b.last = now
+	if b.tokens < 1 {
+		return false
+	}
+	b.tokens--
+	return true
 }
 
 // shard is one socket + event loop + timer wheel + the engines hashed
@@ -639,15 +510,16 @@ type shard struct {
 	// ho is the cross-shard handoff inbox (ReusePort routing): frames the
 	// kernel's flow hash landed on the wrong shard, queued here by the
 	// receiving shard and drained by this shard's loop. See handoff.go.
-	ho handoffQueue
+	ho inbox[handoffFrame]
 
-	// cmd is the bounded admin-command inbox (admin.go): structural
-	// mutations queued by off-loop threads, drained by this shard's loop
-	// right before the handoffs, woken by the same read-deadline poke.
-	cmd cmdQueue
+	// cmd is the admin-command inbox (admin.go), bounded by
+	// RuntimeConfig.AdmissionQueue: structural mutations queued by
+	// off-loop threads, drained by this shard's loop right before the
+	// handoffs, woken by the same read-deadline poke.
+	cmd inbox[shardCommand]
 	// admRejected counts inbox rejects. Incremented off-loop (the loop
-	// never sees a rejected command), so it is an atomic read directly
-	// into Counters.AdmissionRejected rather than a mirrored field.
+	// never sees a rejected command), so it is an atomic that Snapshot
+	// reads into Counters.AdmissionRejected.
 	admRejected atomic.Uint64
 	// loopStarted tells runOn whether a loop goroutine exists to hand a
 	// command to; false before Start and in harnesses that drive the
@@ -656,10 +528,6 @@ type shard struct {
 	// loopDone closes when the loop goroutine exits, unblocking runOn
 	// callers whose queued commands will never run.
 	loopDone chan struct{}
-
-	// pub is the published counter mirror Fleet.Snapshot reads without
-	// taking mu — padded to keep scrapers off the loop's cache lines.
-	pub pubCounters
 
 	// hist is the shard's latency histogram set (telemetry.go), nil when
 	// Config.DisableTelemetry. Recorded by the loop, snapshotted by
@@ -831,28 +699,26 @@ func (f *Fleet) Close() error {
 	return firstErr
 }
 
-// Snapshot gathers every shard's counters (each shard is internally
-// consistent; shards are gathered one after another) and their sum.
-//
-// It never blocks on a shard event loop: an idle shard's mutex is free
-// (the loop parks in the socket read without holding it), so the exact
-// live counters are read and republished; a shard busy dispatching is
-// left alone and its published atomic mirror — refreshed every loop
-// iteration — is read instead. Stats scraping therefore costs a hot
-// shard nothing, and a quiescent fleet always sees exact values.
+// Snapshot gathers every shard's counters (each shard is exact and
+// internally consistent; shards are gathered one after another) and
+// their sum. It holds each shard's mutex for one struct copy, so it
+// waits at most for the critical section that shard's loop is in.
 func (f *Fleet) Snapshot() Snapshot {
 	snap := Snapshot{At: f.sinceEpoch(), Shards: make([]Counters, len(f.shards))}
 	for i, s := range f.shards {
-		var c Counters
-		if s.mu.TryLock() {
-			s.publishLocked()
-			c = s.loadPub()
-			s.mu.Unlock()
-		} else {
-			c = s.loadPub()
+		s.mu.Lock()
+		c := s.counters
+		c.WheelDepth = s.wheel.Len()
+		c.ControlPoints = len(s.cps)
+		c.LiveControlPoints = s.liveCPs
+		c.PendingProbes = len(s.pending)
+		if s.device != nil {
+			c.Devices = 1
 		}
+		s.mu.Unlock()
+		c.AdmissionRejected = s.admRejected.Load()
 		snap.Shards[i] = c
-		snap.Total.add(c)
+		snap.Total.Add(c)
 	}
 	return snap
 }
@@ -936,7 +802,6 @@ func (s *shard) loop() {
 				wait = d
 			}
 		}
-		s.publishLocked()
 		s.mu.Unlock()
 		if wait < 0 {
 			// A timer is already due. Do NOT skip the socket: under
@@ -976,7 +841,6 @@ func (s *shard) loop() {
 			}
 			s.counters.SyscallsIn++
 			s.dispatchBatch(s.recvRing[:n])
-			s.publishLocked()
 			s.mu.Unlock()
 			// A full ring means more is probably queued: drain it now
 			// (bounded, so timer work cannot rot) rather than after the
@@ -1142,35 +1006,8 @@ func (s *shard) dispatchFrame(from netip.AddrPort, f *wire.Frame, handed bool) {
 		s.device.peers.Note(f.From, from)
 		s.device.engine.OnProbe(f.From, core.ProbeMsg{From: f.From, Cycle: f.Cycle, Attempt: f.Attempt})
 	case wire.KindBye:
-		if s.auth.enabled {
-			st := s.broadcastAuthFor(f.From)
-			if st == nil {
-				s.counters.DemuxDrops++ // unwatched device, same as pre-auth
-				return
-			}
-			if !s.authCheckBroadcast(st, f) {
-				return
-			}
-		}
-		ws := s.watchers[f.From]
-		fanned := false
-		if route || (!handed && s.fleet.migratedAny.Load()) {
-			// Watchers of one device spread across shards — by NodeID hash
-			// under ReusePort routing, or after a migration moved some off
-			// their hash shard (a device's peer table keeps the old shard's
-			// source address, so its BYE arrives there); hand a copy to
-			// every other shard with at least one. Duplicate deliveries are
-			// harmless: stopped probers ignore BYEs.
-			fanned = s.fanOutToWatchers(from, f)
-		}
-		if len(ws) == 0 {
-			if !fanned {
-				s.counters.DemuxDrops++
-			}
-			return
-		}
 		harden := s.rt.Harden
-		for cp := range ws {
+		for cp := range s.localWatchers(from, f, handed) {
 			if harden && from != cp.deviceAddr {
 				// A BYE claiming the device but sent from elsewhere.
 				s.counters.ByesForged++
@@ -1179,28 +1016,7 @@ func (s *shard) dispatchFrame(from netip.AddrPort, f *wire.Frame, handed bool) {
 			cp.prober.OnBye(core.ByeMsg{From: f.From})
 		}
 	case wire.KindAnnounce:
-		if s.auth.enabled {
-			st := s.broadcastAuthFor(f.From)
-			if st == nil {
-				s.counters.DemuxDrops++
-				return
-			}
-			if !s.authCheckBroadcast(st, f) {
-				return
-			}
-		}
-		ws := s.watchers[f.From]
-		fanned := false
-		if route || (!handed && s.fleet.migratedAny.Load()) {
-			fanned = s.fanOutToWatchers(from, f)
-		}
-		if len(ws) == 0 {
-			if !fanned {
-				s.counters.DemuxDrops++
-			}
-			return
-		}
-		for cp := range ws {
+		for cp := range s.localWatchers(from, f, handed) {
 			if cp.onAnnounce != nil {
 				cp.onAnnounce(core.AnnounceMsg{From: f.From, MaxAge: f.MaxAge})
 			}
@@ -1208,6 +1024,40 @@ func (s *shard) dispatchFrame(from netip.AddrPort, f *wire.Frame, handed bool) {
 	default:
 		s.counters.DemuxDrops++
 	}
+}
+
+// localWatchers is the shared prologue of the bye and announce arms of
+// dispatchFrame: verify the device's broadcast tag (auth only), hand a
+// copy to every other shard hosting a watcher, and return this shard's
+// watchers of the device. A frame nobody watches is counted in
+// DemuxDrops; a rejected one was counted by the auth check. Either way
+// the returned set is empty. Runs under the shard mutex.
+func (s *shard) localWatchers(from netip.AddrPort, f *wire.Frame, handed bool) map[*cpNode]struct{} {
+	if s.auth.enabled {
+		st := s.broadcastAuthFor(f.From)
+		if st == nil {
+			s.counters.DemuxDrops++ // unwatched device, same as pre-auth
+			return nil
+		}
+		if !s.authCheckBroadcast(st, f) {
+			return nil
+		}
+	}
+	fanned := false
+	if !handed && (s.fleet.route || s.fleet.migratedAny.Load()) {
+		// Watchers of one device spread across shards — by NodeID hash
+		// under ReusePort routing, or after a migration moved some off
+		// their hash shard (a device's peer table keeps the old shard's
+		// source address, so its BYE arrives there); hand a copy to
+		// every other shard with at least one. Duplicate deliveries are
+		// harmless: stopped probers ignore BYEs.
+		fanned = s.fanOutToWatchers(from, f)
+	}
+	ws := s.watchers[f.From]
+	if len(ws) == 0 && !fanned {
+		s.counters.DemuxDrops++
+	}
+	return ws
 }
 
 // notePending registers a probe attempt in the demux table: the first
@@ -1248,16 +1098,7 @@ func (s *shard) admitProbe(from netip.AddrPort) bool {
 		b = &srcBucket{tokens: float64(s.rt.PerSourceBurst), last: now}
 		s.sources[from] = b
 	}
-	b.tokens += (now - b.last).Seconds() * s.rt.PerSourceProbeHz
-	if max := float64(s.rt.PerSourceBurst); b.tokens > max {
-		b.tokens = max
-	}
-	b.last = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
+	return b.take(now, s.rt.PerSourceProbeHz, s.rt.PerSourceBurst)
 }
 
 // sweepPending drops demux entries whose cycle can no longer complete

@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"net/netip"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"presence/internal/ident"
@@ -73,29 +71,9 @@ type handoffFrame struct {
 	f    wire.Frame
 }
 
-// handoffQueue is a shard's inbox for frames other shards received on
-// its behalf. It is the only cross-shard mutable state on the receive
-// path, and deliberately tiny: a leaf mutex around an append, a flag
-// the owning loop polls, and a wake-up through the socket's read
-// deadline. The queue slices ping-pong (q <-> spare) so steady-state
-// handoff traffic allocates nothing.
-type handoffQueue struct {
-	mu sync.Mutex
-	q  []handoffFrame
-	// spare is the drained slice awaiting reuse; owned by the shard loop
-	// between drains, reinstalled as q under mu.
-	spare []handoffFrame
-	// pending is set exactly when q may be non-empty. The owning loop
-	// checks it at the top of every iteration and again right after
-	// arming its read deadline, which closes the race between a sender's
-	// wake-up poke and the loop overwriting that poke with a fresh
-	// deadline.
-	pending atomic.Bool
-}
-
 // handoffTo queues f on t's handoff inbox and wakes t's loop by
 // expiring its read deadline (the same trick the loop's own drain
-// rounds use). Runs under s's mutex; takes only t's leaf handoff mutex,
+// rounds use). Runs under s's mutex; takes only t's leaf inbox mutex,
 // so shard mutexes never nest.
 func (s *shard) handoffTo(t *shard, from netip.AddrPort, f *wire.Frame) {
 	s.counters.HandoffsOut++
@@ -103,21 +81,14 @@ func (s *shard) handoffTo(t *shard, from netip.AddrPort, f *wire.Frame) {
 	if t.hist != nil {
 		at = s.fleet.sinceEpoch()
 	}
-	t.ho.mu.Lock()
-	t.ho.q = append(t.ho.q, handoffFrame{from: from, at: at, f: *f})
-	t.ho.pending.Store(true)
-	t.ho.mu.Unlock()
+	t.ho.put(handoffFrame{from: from, at: at, f: *f}, 0)
 	t.conn.SetReadDeadline(pastDeadline) //nolint:errcheck // fails only when closed
 }
 
 // drainHandoffs dispatches every queued handoff frame locally. Runs on
 // the shard loop under the shard mutex, inside a send batch.
 func (s *shard) drainHandoffs() {
-	s.ho.mu.Lock()
-	q := s.ho.q
-	s.ho.q = s.ho.spare[:0]
-	s.ho.pending.Store(false)
-	s.ho.mu.Unlock()
+	q := s.ho.take()
 	var now time.Duration
 	if (s.hist != nil || s.rec != nil) && len(q) > 0 {
 		now = s.fleet.sinceEpoch()
@@ -133,7 +104,7 @@ func (s *shard) drainHandoffs() {
 		}
 		s.dispatchFrame(q[i].from, &q[i].f, true)
 	}
-	s.ho.spare = q
+	s.ho.recycle(q)
 }
 
 // fanOutToWatchers hands a bye/announce to every other shard hosting a

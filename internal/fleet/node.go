@@ -314,7 +314,6 @@ func (s *shard) registerCPLocked(n *cpNode) {
 		s.ensureCPAuth(n)
 	}
 	n.prober.Start()
-	s.publishLocked()
 }
 
 // removeCPLocked stops a control point and unhooks it from its shard
@@ -347,7 +346,6 @@ func (s *shard) removeCPLocked(n *cpNode) {
 		delete(fl.dir, n.id)
 	}
 	fl.adminMu.Unlock()
-	s.publishLocked()
 }
 
 // ControlPoint is the handle to a fleet-hosted control point. Its
@@ -395,7 +393,6 @@ func (cp *ControlPoint) Restart() error {
 		s.liveCPs++
 	}
 	cp.n.prober.Start()
-	s.publishLocked()
 	return nil
 }
 
@@ -514,7 +511,6 @@ func (f *Fleet) AddDevice(id ident.NodeID, build DeviceBuilder) (*Device, error)
 			sh.device = nd
 			f.deviceShard.CompareAndSwap(-1, int32(sh.index))
 			engine.Start()
-			sh.publishLocked()
 			dn = nd
 			return nil
 		})
@@ -578,7 +574,6 @@ func (d *Device) Bye() {
 	})
 	s.inBatch = false
 	s.flushSends()
-	s.publishLocked()
 }
 
 // Announce sends a presence announcement to every known peer,
@@ -601,5 +596,4 @@ func (d *Device) Announce(maxAge time.Duration) {
 	})
 	s.inBatch = false
 	s.flushSends()
-	s.publishLocked()
 }

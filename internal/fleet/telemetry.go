@@ -9,9 +9,10 @@ package fleet
 // cache-line-padded log₂ histograms (internal/metrics): the event loop
 // records into them with uncontended atomic adds under its own mutex's
 // protection, scrapers snapshot them with atomic loads and merge across
-// shards without taking any shard mutex, so a scrape costs a hot loop
-// nothing. Recording allocates nothing — the 0 allocs/op hot-path gate
-// runs with telemetry on.
+// shards without taking any shard mutex (the flat Counters are the part
+// of a scrape that does: Fleet.Snapshot holds each shard's mutex for
+// one copy). Recording allocates nothing — the 0 allocs/op hot-path
+// gate runs with telemetry on.
 //
 // The flight recorder (internal/trace.Ring) keeps the newest N
 // probe-lifecycle events per shard: probe sent, reply matched, attempt

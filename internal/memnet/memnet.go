@@ -188,7 +188,9 @@ type Network struct {
 	middle   []Middlebox
 	nextPort uint16
 	observer Observer
-	closed   bool
+	// seen is deliverLocked's copy of the frame it shows the observer.
+	seen   []byte
+	closed bool
 
 	// links is sharded by key hash so concurrent senders on different
 	// links never touch the same lock; each link additionally carries its
@@ -699,11 +701,19 @@ func (n *Network) deliverLocked(d datagram) {
 		releaseFrame(d.frame)
 		return
 	}
+	// Once the datagram is in the inbox its buffer is the reader's, who
+	// may release it for reuse while the observer still reads it: the
+	// observer gets a copy taken while the buffer is still ours.
+	seen := *d.frame
+	if n.observer != nil {
+		n.seen = append(n.seen[:0], seen...)
+		seen = n.seen
+	}
 	select {
 	case e.inbox <- d:
-		n.emit(d.from, d.to, *d.frame, Delivered, d.duplicate, d.injected)
+		n.emit(d.from, d.to, seen, Delivered, d.duplicate, d.injected)
 	default:
-		n.emit(d.from, d.to, *d.frame, Overflowed, d.duplicate, d.injected)
+		n.emit(d.from, d.to, seen, Overflowed, d.duplicate, d.injected)
 		releaseFrame(d.frame)
 	}
 }

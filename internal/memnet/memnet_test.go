@@ -1,9 +1,11 @@
 package memnet_test
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -455,4 +457,70 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 
 func errorsAs(err error, target *net.Error) bool {
 	return errors.As(err, target)
+}
+
+// TestObserverFrameOutlivesDelivery pins PacketEvent.Frame's contract —
+// valid for the whole observer call — against a receiver that is faster
+// than the observer: once a datagram is in an inbox its pooled buffer
+// belongs to the reader, who may release it to be overwritten by the
+// next send (on this or any other Network: the pool is package-wide)
+// while the observer is still reading. Run with -race.
+func TestObserverFrameOutlivesDelivery(t *testing.T) {
+	n := memnet.New(memnet.Faults{})
+	defer n.Close()
+	var mu sync.Mutex
+	var bad int
+	n.Observe(func(ev memnet.PacketEvent) {
+		first := ev.Frame[0]
+		runtime.Gosched() // the receiver's chance to recycle the buffer
+		for _, b := range ev.Frame {
+			if b != first {
+				mu.Lock()
+				bad++
+				mu.Unlock()
+				return
+			}
+		}
+	})
+	src, _ := n.Listen()
+	dst, _ := n.Listen()
+	other := memnet.New(memnet.Faults{})
+	defer other.Close()
+	osrc, _ := other.Listen()
+	odst, _ := other.Listen()
+
+	const packets = 2000
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // drain dst as fast as it fills
+		defer wg.Done()
+		buf := make([]byte, 64)
+		for i := 0; i < packets; i++ {
+			dst.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if _, _, err := dst.ReadFromUDPAddrPort(buf); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // churn the shared pool from a second network
+		defer wg.Done()
+		buf := make([]byte, 64)
+		payload := bytes.Repeat([]byte{0xff}, 32)
+		for i := 0; i < packets; i++ {
+			osrc.WriteToUDPAddrPort(payload, odst.LocalAddrPort()) //nolint:errcheck // in-memory
+			odst.SetReadDeadline(time.Now().Add(2 * time.Second))
+			odst.ReadFromUDPAddrPort(buf) //nolint:errcheck // only draining
+		}
+	}()
+	for i := 0; i < packets; i++ {
+		payload := bytes.Repeat([]byte{byte(i)}, 32)
+		if _, err := src.WriteToUDPAddrPort(payload, dst.LocalAddrPort()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if bad > 0 {
+		t.Fatalf("%d of %d observed frames changed under the observer", bad, packets)
+	}
 }

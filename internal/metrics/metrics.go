@@ -38,8 +38,8 @@ const NumBuckets = 32
 // Histogram is a fixed-bucket log₂ histogram safe for one writer and
 // any number of snapshotting readers without locks. The struct is
 // padded to keep a scraper's atomic loads off the cache lines of
-// whatever the owner allocates around it (the same false-sharing trap
-// pubCounters documents in internal/fleet).
+// whatever the owner allocates around it — the false-sharing trap a
+// one-core benchmark can't see.
 //
 // The zero value is ready to use.
 type Histogram struct {

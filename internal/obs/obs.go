@@ -13,29 +13,18 @@
 // path as the benign fleet counters, so attack observability needs no
 // second pipeline.
 //
-// Scrapes are cheap by construction: counters come from the fleet's
-// lock-free published mirror, histograms from padded atomics — neither
-// takes a shard mutex, so a scraper hammering /metrics costs a hot
-// event loop nothing. Only /debug/flight briefly takes each shard
-// mutex to copy the event rings.
+// Scrapes are cheap: Fleet.Snapshot holds each shard's mutex for one
+// struct copy, so a counter scrape waits at most for the critical
+// section a shard's loop is in, and histograms are padded atomics read
+// with no mutex at all. /debug/flight holds each shard mutex a little
+// longer, to copy the event rings.
 //
 // # Metric catalogue
 //
-// Counters (fleet totals, merged across shards at scrape time):
-// fleet_packets_in_total, fleet_packets_out_total,
-// fleet_decode_errors_total, fleet_send_errors_total,
-// fleet_probes_out_total, fleet_replies_in_total,
-// fleet_demux_drops_total, fleet_demux_collisions_total,
-// fleet_timers_fired_total, fleet_attempt_mismatches_total,
-// fleet_replies_forged_total, fleet_byes_forged_total,
-// fleet_replies_replayed_total, fleet_probes_shed_total,
-// fleet_handoffs_out_total, fleet_handoffs_in_total,
-// fleet_migrations_total, fleet_admission_rejected_total,
-// fleet_syscalls_in_total, fleet_syscalls_out_total.
-//
-// Gauges: fleet_uptime_seconds, fleet_shards, fleet_wheel_depth,
-// fleet_control_points, fleet_live_control_points,
-// fleet_pending_probes, fleet_devices.
+// Counters and gauges (fleet totals, summed across shards at scrape
+// time): one family per row of fleet.CounterDefs, which holds every
+// name and help text — see internal/fleet/counters.go — plus the
+// gauges fleet_uptime_seconds and fleet_shards.
 //
 // Histograms (log₂ buckets, see internal/metrics):
 // fleet_probe_rtt_seconds, fleet_detection_latency_seconds,
@@ -170,39 +159,18 @@ func (s *Server) WriteMetrics(out io.Writer) error {
 	t := &snap.Total
 	w := metrics.NewWriter(out)
 
-	w.Counter("fleet_packets_in_total", "Datagrams received by shard sockets.", one(t.PacketsIn))
-	w.Counter("fleet_packets_out_total", "Datagrams sent by shard sockets.", one(t.PacketsOut))
-	w.Counter("fleet_decode_errors_total", "Received datagrams that failed frame decoding.", one(t.DecodeErrors))
-	w.Counter("fleet_send_errors_total", "Datagrams the transport rejected.", one(t.SendErrors))
-	w.Counter("fleet_probes_out_total", "Probes sent by hosted control points.", one(t.ProbesOut))
-	w.Counter("fleet_replies_in_total", "Replies matched to a pending probe.", one(t.RepliesIn))
-	w.Counter("fleet_demux_drops_total", "Frames matching no hosted node.", one(t.DemuxDrops))
-	w.Counter("fleet_demux_collisions_total", "Demux keys claimed by two live control points.", one(t.DemuxCollisions))
-	w.Counter("fleet_timers_fired_total", "Timer-wheel expirations delivered to engines.", one(t.TimersFired))
-	w.Counter("fleet_attempt_mismatches_total", "Replies echoing an attempt never sent.", one(t.AttemptMismatches))
-	w.Counter("fleet_replies_forged_total", "Replies rejected for a wrong source address (Harden).", one(t.RepliesForged))
-	w.Counter("fleet_byes_forged_total", "BYE frames rejected for a wrong source address (Harden).", one(t.ByesForged))
-	w.Counter("fleet_replies_replayed_total", "Replies replayed inside the replay window (Harden).", one(t.RepliesReplayed))
-	w.Counter("fleet_probes_shed_total", "Probes dropped by per-source admission (Harden) or the per-device probe budget.", one(t.ProbesShed))
-	w.Counter("fleet_bad_frames_total", "Received datagrams rejected before dispatch (bad magic, version, length or checksum).", one(t.BadFrames))
-	w.Counter("fleet_auth_verified_total", "Frames whose v2 authentication tag verified under the current key.", one(t.AuthVerified))
-	w.Counter("fleet_auth_stale_key_total", "Frames verified under the previous key inside the rotation grace.", one(t.AuthStaleKey))
-	w.Counter("fleet_auth_rejected_total", "v2 frames whose tag verified under no installed key.", one(t.AuthRejected))
-	w.Counter("fleet_auth_downgraded_total", "v1 frames refused because the peer negotiated v2 (or Require is set).", one(t.AuthDowngraded))
-	w.Counter("fleet_handoffs_out_total", "Frames forwarded to their owning shard.", one(t.HandoffsOut))
-	w.Counter("fleet_handoffs_in_total", "Frames received via cross-shard handoff.", one(t.HandoffsIn))
-	w.Counter("fleet_migrations_total", "Control points migrated between shards (drain/rebalance).", one(t.Migrations))
-	w.Counter("fleet_admission_rejected_total", "Admin commands rejected by a full admission queue.", one(t.AdmissionRejected))
-	w.Counter("fleet_syscalls_in_total", "Transport read calls.", one(t.SyscallsIn))
-	w.Counter("fleet_syscalls_out_total", "Transport write calls.", one(t.SyscallsOut))
-
+	for _, d := range fleet.CounterDefs {
+		if d.Count != nil {
+			w.Counter(d.Name, d.Help, one(*d.Count(t)))
+		}
+	}
 	w.Gauge("fleet_uptime_seconds", "Fleet uptime.", metrics.Sample{Value: snap.At.Seconds()})
 	w.Gauge("fleet_shards", "Number of shards.", metrics.Sample{Value: float64(f.Shards())})
-	w.Gauge("fleet_wheel_depth", "Pending timers across shards.", one(uint64(t.WheelDepth)))
-	w.Gauge("fleet_control_points", "Hosted control points.", one(uint64(t.ControlPoints)))
-	w.Gauge("fleet_live_control_points", "Hosted control points still probing.", one(uint64(t.LiveControlPoints)))
-	w.Gauge("fleet_pending_probes", "In-flight probe cycles awaiting replies.", one(uint64(t.PendingProbes)))
-	w.Gauge("fleet_devices", "Hosted device engines.", one(uint64(t.Devices)))
+	for _, d := range fleet.CounterDefs {
+		if d.Level != nil {
+			w.Gauge(d.Name, d.Help, one(uint64(*d.Level(t))))
+		}
+	}
 
 	h := f.Histograms()
 	w.Histogram("fleet_probe_rtt_seconds",

@@ -208,8 +208,10 @@ func TestStartShutdown(t *testing.T) {
 }
 
 // TestScrapeNeverBlocksShards hammers /metrics while traffic runs —
-// the lock-free scrape contract (counters from the published mirror,
-// histograms from atomics) under the race detector.
+// the scrape contract (counters copied under each shard's mutex,
+// histograms from atomics) under the race detector: scrapes finish and
+// the loops keep running. fleet's TestSnapshotHammer puts a number on
+// how long one Snapshot can wait.
 func TestScrapeNeverBlocksShards(t *testing.T) {
 	srv, _ := testPlane(t)
 	done := make(chan struct{})
