@@ -75,6 +75,13 @@
 //   - one hierarchical hashed timer wheel per shard replaces per-node
 //     time.Timers (every engine owns exactly one alarm, an intrusive
 //     O(1) list entry);
+//   - engines and event stamps read a per-shard clock — a field the
+//     loop refreshes once per batch (top of each iteration, every
+//     Config.Batch alarms of a cascade, each received burst, each entry
+//     from outside the loop) from the fleet's single monotonic reader,
+//     so the packet path never asks the wall clock what time it is and
+//     the retransmit budget is measured on one clock end to end (fleet
+//     package comment, "The shard clock");
 //   - replies are demultiplexed on the shared socket by a (device,
 //     cycle) pending-probe table, with per-CP staggered cycle-number
 //     spaces (core.ProberOptions.FirstCycle) keeping keys disjoint;
@@ -93,7 +100,9 @@
 //     internal/memnet supplies a deterministic in-memory network with
 //     injectable loss (Bernoulli and Gilbert–Elliott), delay,
 //     duplication, reordering and partitions for driving the real shard
-//     loops over hostile links;
+//     loops over hostile links (its SetReadDeadline re-bounds a read
+//     that is already parked, as a kernel socket's does, so the loop's
+//     wake-up pokes work over it);
 //   - a runtime administration plane mutates a live fleet without
 //     stopping it: Add/RemoveControlPoint and Add/RemoveDevice run as
 //     commands on the owning shard's bounded inbox (refusals surface as

@@ -101,6 +101,11 @@ func (s *shard) enqueueCmd(c shardCommand) error {
 func (s *shard) drainCommands() {
 	q := s.cmd.take()
 	for i := range q {
+		if i > 0 {
+			// Each command is an entry from outside the loop, deferred: a
+			// queued burst of Adds must not all start on one instant.
+			s.tick()
+		}
 		err := q[i].fn(s)
 		if q[i].done != nil {
 			q[i].done <- err
@@ -120,6 +125,7 @@ func (f *Fleet) runOn(s *shard, fn func(*shard) error) error {
 		if s.closed {
 			return errClosed
 		}
+		s.tick() // no loop to have ticked for us
 		return fn(s)
 	}
 	done := make(chan error, 1)
@@ -330,7 +336,7 @@ func (s *shard) applyConfigLocked(rc RuntimeConfig) {
 // token bucket, creating the bucket on first contact. Runs under the
 // shard mutex; shedding only (s.devBudget is non-nil).
 func (s *shard) admitDeviceProbe(device ident.NodeID) bool {
-	now := s.fleet.sinceEpoch()
+	now := s.now
 	b := s.devBudget[device]
 	if b == nil {
 		b = &srcBucket{tokens: float64(s.rt.PerDeviceBurst), last: now}
@@ -591,7 +597,9 @@ func (s *shard) migrateLocked(dst *shard, ids []ident.NodeID) int {
 	if dst.closed {
 		return 0
 	}
-	now := fl.sinceEpoch()
+	// dst's loop may be parked: bring its clock up before its flight
+	// events are stamped and before Rehome opens a cycle there.
+	dst.tick()
 	moved := 0
 	for _, id := range ids {
 		n := s.cps[id]
@@ -659,13 +667,13 @@ func (s *shard) migrateLocked(dst *shard, ids []ident.NodeID) int {
 			if s.forwards == nil {
 				s.forwards = make(map[uint64]forwardEntry)
 			}
-			s.forwards[key] = forwardEntry{to: dst, at: now}
+			s.forwards[key] = forwardEntry{to: dst, at: s.now}
 		}
 		if dst.rec != nil {
 			// EvHandoff with no CP id: visible in /debug/flight, skipped by
 			// trace.Normalize so migrations cannot perturb the byte-identical
 			// per-CP timelines drain-equivalence tests compare.
-			dst.rec.Record(trace.Event{At: now, Kind: trace.EvHandoff,
+			dst.rec.Record(trace.Event{At: dst.now, Kind: trace.EvHandoff,
 				Device: n.device, Cycle: n.lastCycle})
 		}
 		dst.counters.Migrations++

@@ -161,7 +161,7 @@ func (s *shard) applyAuthLocked(rc *RuntimeConfig) {
 		// Rotation: the old master stays verifiable for the grace window
 		// so frames in flight across the swap still land.
 		a.prev = a.cur
-		a.prevUntil = s.fleet.sinceEpoch() + rc.AuthRotationGrace
+		a.prevUntil = s.now + rc.AuthRotationGrace
 		a.cur = rc.AuthKey
 		a.epoch++
 	}
@@ -192,7 +192,7 @@ func (s *shard) verifyDual(cur, prev *wire.AuthKey, f *wire.Frame) bool {
 		s.counters.AuthVerified++
 		return true
 	}
-	if prev != nil && s.fleet.sinceEpoch() < s.auth.prevUntil && prev.VerifyFrame(f) {
+	if prev != nil && s.now < s.auth.prevUntil && prev.VerifyFrame(f) {
 		s.counters.AuthVerified++
 		s.counters.AuthStaleKey++
 		return true

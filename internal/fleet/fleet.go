@@ -98,6 +98,50 @@
 // udp-churn workload runs 20 Hz scrapes beside the packet path to keep
 // that trade honest (EXPERIMENTS.md "Guarding the shard once").
 //
+// # The shard clock
+//
+// Engines and event stamps do not read the wall clock; they read
+// shard.now, a field. One function refreshes it — shard.tick, the only
+// caller of the fleet clock (Fleet.clock, the monotonic offset from the
+// fleet's creation) on behalf of anything that stamps — and it runs
+// where the loop already has a boundary:
+//
+//   - at the top of each loop iteration: that read is the `now` the
+//     wheel is advanced to;
+//   - every Config.Batch firings inside a timer cascade or a queue of
+//     handoffs, and before each queued admin command after the first,
+//     so a 5 000-alarm join storm is not stamped with one instant;
+//   - on entry to dispatchBatch: the burst's receive timestamp;
+//   - on every entry into a shard from outside its loop, which may be
+//     parked: lockShard (ControlPoint.Stats/Stopped/Restart/Remove),
+//     runOn's inline branch, Device.Bye/Announce, and the destination
+//     shard of a migration.
+//
+// Everything else reads the field: cpNode.Now and deviceNode.Now (so
+// every core.Prober and device engine), noteProbe's demux entry and
+// flight events, the reply arm's RTT and replay-window stamps, both
+// token buckets, the auth rotation grace, handoff stamps and the sweep.
+// The contract, pinned by clock_test.go: per shard the clock never runs
+// backwards; an engine never sees a time earlier than the `now` its
+// wheel was advanced to, so an alarm never observes itself firing
+// early; the clock is stale by at most one batch of handlers (≈ 8 µs at
+// 64 × 120 ns — two orders below the 1 ms wheel tick, three below the
+// paper's 22 ms first timeout), and it errs the way stamps already do:
+// a send is stamped when its handler runs, ahead of the coalesced
+// flush. The retransmit budget TOF + 3·TOS is measured on the shard
+// clock at both ends — cycle start and verdict — so "never declared
+// absent early" holds exactly, not up to the skew between two reads.
+//
+// Four sites call the fleet clock directly, because they measure the
+// loop rather than stamp its events: Uptime, Snapshot.At, the loop's
+// sleep computation and the cascade-duration histogram. That makes at
+// most three reads per loop iteration plus one per received burst; a
+// read per event would be a quarter of the hot path (EXPERIMENTS.md
+// "One clock read per batch"). Fleet.clock is an unexported function
+// value set by New — the seam a virtual clock will replace, and at this
+// call rate an indirect call is affordable. TestClockSeamIsSingle fails
+// on any other time.Now, time.Since or time.Until in this package.
+//
 // # Transport seam
 //
 // A shard does not name *net.UDPConn: it reads and writes through the
@@ -340,8 +384,12 @@ type Snapshot struct {
 // Fleet hosts protocol engines across shards. Construct with New, then
 // Start, then Add nodes; Close tears everything down.
 type Fleet struct {
-	cfg   Config
-	epoch time.Time
+	cfg Config
+	// clock is the fleet clock: the one monotonic reader, offset from the
+	// fleet's creation. New sets it to wallClock(); tests in this package
+	// swap it before Start. Only shard.tick and the sites that measure the
+	// loop itself call it — see "The shard clock" in the package comment.
+	clock func() time.Duration
 
 	// route is Config.ReusePort: shard-aware routing is on, cycle numbers
 	// embed shard indices, and stray frames ride the handoff path.
@@ -461,7 +509,12 @@ type shard struct {
 	recvRing []Datagram
 	recvBufs [][]byte
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// now is the shard clock: the fleet clock as of the last tick(). Every
+	// engine (Env.Now) and every event stamp on this shard reads it
+	// instead of the wall clock — see "The shard clock" in the package
+	// comment.
+	now      time.Duration
 	wheel    *timerWheel
 	cps      map[ident.NodeID]*cpNode
 	watchers map[ident.NodeID]map[*cpNode]struct{} // device id → watching CPs
@@ -579,7 +632,7 @@ func New(cfg Config) (*Fleet, error) {
 			transport = udpTransport{addr: addr, sndRcv: cfg.SocketBuffer}
 		}
 	}
-	f := &Fleet{cfg: cfg, epoch: time.Now(), route: cfg.ReusePort, reusePortActive: reuseActive}
+	f := &Fleet{cfg: cfg, clock: wallClock(), route: cfg.ReusePort, reusePortActive: reuseActive}
 	f.deviceShard.Store(-1)
 	f.watchMask = make(map[ident.NodeID]*shardMask)
 	f.dir = make(map[ident.NodeID]*cpNode)
@@ -651,7 +704,35 @@ func (f *Fleet) Addrs() []netip.AddrPort {
 
 // Uptime returns the offset of the fleet clock (all engine times are
 // offsets from the fleet epoch).
-func (f *Fleet) Uptime() time.Duration { return time.Since(f.epoch) }
+func (f *Fleet) Uptime() time.Duration { return f.clock() }
+
+// wallClock returns the real fleet clock: the monotonic time since the
+// call. It is the package's only reader of the wall clock
+// (TestClockSeamIsSingle allows two more sites, neither of which stamps
+// an event).
+func wallClock() func() time.Duration {
+	epoch := time.Now()
+	return func() time.Duration { return time.Since(epoch) }
+}
+
+// tick refreshes the shard clock from the fleet clock and returns it.
+// It is the fleet clock's only caller on behalf of engines and event
+// stamps; where it runs is listed under "The shard clock" in the package
+// comment. A reader that steps backwards leaves the shard clock where it
+// was. Runs under the shard mutex.
+func (s *shard) tick() time.Duration {
+	if t := s.fleet.clock(); t > s.now {
+		s.now = t
+	}
+	return s.now
+}
+
+// batchEnds reports whether handler i of a run the loop works through
+// under one lock hold — a timer cascade, a queue of handoffs — is the
+// first after a full Config.Batch of them. Such runs tick there, which
+// is what bounds the shard clock's staleness to one batch of handlers:
+// a join storm or a mass timeout is not stamped with one instant.
+func (s *shard) batchEnds(i int) bool { return i > 0 && i%s.fleet.cfg.Batch == 0 }
 
 // Start launches the shard event loops. Nodes may be added once the
 // fleet is started.
@@ -667,7 +748,7 @@ func (f *Fleet) Start() error {
 	f.started = true
 	for _, s := range f.shards {
 		s.mu.Lock()
-		s.wheel.Schedule(&s.sweeper, f.sinceEpoch()+s.rt.PendingTTL/2)
+		s.wheel.Schedule(&s.sweeper, s.tick()+s.rt.PendingTTL/2)
 		s.mu.Unlock()
 		f.wg.Add(1)
 		s.loopStarted.Store(true)
@@ -704,7 +785,7 @@ func (f *Fleet) Close() error {
 // their sum. It holds each shard's mutex for one struct copy, so it
 // waits at most for the critical section that shard's loop is in.
 func (f *Fleet) Snapshot() Snapshot {
-	snap := Snapshot{At: f.sinceEpoch(), Shards: make([]Counters, len(f.shards))}
+	snap := Snapshot{At: f.clock(), Shards: make([]Counters, len(f.shards))}
 	for i, s := range f.shards {
 		s.mu.Lock()
 		c := s.counters
@@ -722,8 +803,6 @@ func (f *Fleet) Snapshot() Snapshot {
 	}
 	return snap
 }
-
-func (f *Fleet) sinceEpoch() time.Duration { return time.Since(f.epoch) }
 
 // shardFor hashes a node id onto a shard — the fan-in rule.
 func (f *Fleet) shardFor(id ident.NodeID) *shard {
@@ -774,7 +853,7 @@ func (s *shard) loop() {
 			s.mu.Unlock()
 			return
 		}
-		now := s.fleet.sinceEpoch()
+		now := s.tick()
 		s.inBatch = true
 		if s.cmd.pending.Load() {
 			s.drainCommands()
@@ -783,7 +862,10 @@ func (s *shard) loop() {
 			s.drainHandoffs()
 		}
 		due := s.wheel.Advance(now)
-		for _, d := range due {
+		for i, d := range due {
+			if s.batchEnds(i) {
+				s.tick()
+			}
 			if d.t.gen == d.gen {
 				s.counters.TimersFired++
 				d.t.fire()
@@ -792,13 +874,15 @@ func (s *shard) loop() {
 		if s.hist != nil && len(due) > 0 {
 			// One cascade = the loop's largest indivisible unit of work;
 			// its distribution is the event loop's responsiveness bound.
-			s.hist.cascade.Observe(us(s.fleet.sinceEpoch() - now))
+			// Measures the loop itself, so it reads the fleet clock.
+			s.hist.cascade.Observe(us(s.fleet.clock() - now))
 		}
 		s.inBatch = false
 		s.flushSends()
 		wait := maxPoll
 		if next, ok := s.wheel.NextDeadline(); ok {
-			if d := next - s.fleet.sinceEpoch(); d < wait {
+			// How long to sleep is the loop's own business: fleet clock.
+			if d := next - s.fleet.clock(); d < wait {
 				wait = d
 			}
 		}
@@ -813,6 +897,8 @@ func (s *shard) loop() {
 			// the wheel again.
 			wait = 0
 		}
+		// The transport's deadlines are wall-clock instants, so this is
+		// the one place the loop converts: not a clock read anybody stamps.
 		s.conn.SetReadDeadline(time.Now().Add(wait)) //nolint:errcheck // fails only when closed
 		if s.ho.pending.Load() || s.cmd.pending.Load() {
 			// A handoff or admin command arrived between the drain above and
@@ -869,6 +955,7 @@ var pastDeadline = time.Unix(1, 0)
 // dispatchBatch decodes and routes one received burst, then flushes
 // every send the handlers coalesced. Runs under the shard mutex.
 func (s *shard) dispatchBatch(dgs []Datagram) {
+	s.tick() // the burst's receive timestamp
 	s.counters.PacketsIn += uint64(len(dgs))
 	if s.hist != nil {
 		s.hist.fill.Observe(uint64(len(dgs)))
@@ -956,7 +1043,7 @@ func (s *shard) dispatchFrame(from netip.AddrPort, f *wire.Frame, handed bool) {
 		}
 		delete(s.pending, key)
 		if s.completed != nil || s.hist != nil || s.rec != nil {
-			now := s.fleet.sinceEpoch()
+			now := s.now
 			if s.completed != nil {
 				s.completed[key] = now
 			}
@@ -1092,7 +1179,7 @@ func (s *shard) notePending(n *cpNode, cycle uint32, attempt uint8, now time.Dur
 // creating the bucket on first contact. Runs under the shard mutex;
 // Harden only (s.sources is non-nil).
 func (s *shard) admitProbe(from netip.AddrPort) bool {
-	now := s.fleet.sinceEpoch()
+	now := s.now
 	b := s.sources[from]
 	if b == nil {
 		b = &srcBucket{tokens: float64(s.rt.PerSourceBurst), last: now}
@@ -1106,7 +1193,7 @@ func (s *shard) admitProbe(from netip.AddrPort) bool {
 // admission and device-budget buckets and stale migration forwards,
 // and re-arms itself. Runs on the shard loop under the mutex.
 func (s *shard) sweepPending() {
-	now := s.fleet.sinceEpoch()
+	now := s.now
 	ttl := s.rt.PendingTTL
 	for key, pp := range s.pending {
 		if now-pp.at > ttl {

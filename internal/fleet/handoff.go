@@ -63,8 +63,9 @@ func (m *shardMask) empty() bool {
 
 // handoffFrame is one decoded frame in flight between shards. The frame
 // is carried decoded (it is a flat value struct) so the owning shard
-// pays no second decode and no buffer management. at is the sender's
-// clock at enqueue, the start of the handoff-latency measurement.
+// pays no second decode and no buffer management. at is the sending
+// shard's clock — when its burst was received — the start of the
+// handoff-latency measurement, which the owner ends on its own clock.
 type handoffFrame struct {
 	from netip.AddrPort
 	at   time.Duration
@@ -77,11 +78,7 @@ type handoffFrame struct {
 // so shard mutexes never nest.
 func (s *shard) handoffTo(t *shard, from netip.AddrPort, f *wire.Frame) {
 	s.counters.HandoffsOut++
-	var at time.Duration
-	if t.hist != nil {
-		at = s.fleet.sinceEpoch()
-	}
-	t.ho.put(handoffFrame{from: from, at: at, f: *f}, 0)
+	t.ho.put(handoffFrame{from: from, at: s.now, f: *f}, 0)
 	t.conn.SetReadDeadline(pastDeadline) //nolint:errcheck // fails only when closed
 }
 
@@ -89,17 +86,16 @@ func (s *shard) handoffTo(t *shard, from netip.AddrPort, f *wire.Frame) {
 // the shard loop under the shard mutex, inside a send batch.
 func (s *shard) drainHandoffs() {
 	q := s.ho.take()
-	var now time.Duration
-	if (s.hist != nil || s.rec != nil) && len(q) > 0 {
-		now = s.fleet.sinceEpoch()
-	}
 	for i := range q {
+		if s.batchEnds(i) {
+			s.tick()
+		}
 		s.counters.HandoffsIn++
 		if s.hist != nil {
-			s.hist.handoff.Observe(us(now - q[i].at))
+			s.hist.handoff.Observe(us(s.now - q[i].at))
 		}
 		if s.rec != nil {
-			s.rec.Record(trace.Event{At: now, Kind: trace.EvHandoff,
+			s.rec.Record(trace.Event{At: s.now, Kind: trace.EvHandoff,
 				Device: q[i].f.From, Cycle: q[i].f.Cycle})
 		}
 		s.dispatchFrame(q[i].from, &q[i].f, true)

@@ -150,8 +150,14 @@ func (h *HotPathBench) Step() {
 	s.mu.Lock()
 	h.deliverLocked() // probes → device → reply burst
 	h.deliverLocked() // replies → probers (cycle completes, alarm armed)
+	// The ticks shard.loop makes: one at the top of the iteration, then
+	// one per Batch alarms of the cascade.
+	s.tick()
 	s.inBatch = true
-	for _, cp := range h.cps {
+	for i, cp := range h.cps {
+		if s.batchEnds(i) {
+			s.tick()
+		}
 		s.counters.TimersFired++
 		cp.n.timer.fire() // prober.OnAlarm → next cycle's probe
 	}

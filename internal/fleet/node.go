@@ -86,14 +86,16 @@ func (n *cpNode) lockShard() *shard {
 		s := n.sh()
 		s.mu.Lock()
 		if n.sh() == s {
+			s.tick() // entry from outside the loop, which may be parked
 			return s
 		}
 		s.mu.Unlock()
 	}
 }
 
-// Now implements core.Env on the fleet's shared monotonic clock.
-func (n *cpNode) Now() time.Duration { return n.sh().fleet.sinceEpoch() }
+// Now implements core.Env on the owning shard's clock: a field read,
+// at most one batch of handlers behind the fleet clock.
+func (n *cpNode) Now() time.Duration { return n.sh().now }
 
 // Send transmits to the CP's device, registering outgoing probes in the
 // shard's demux table so the reply finds its way back. Probes over the
@@ -132,9 +134,10 @@ func (n *cpNode) Send(_ ident.NodeID, msg core.Message) {
 // entry, the probe counter, and the flight-recorder events. A
 // retransmit (attempt > 0) implies the previous attempt of the same
 // cycle expired unanswered — the prober does not surface that
-// transition, so the recorder derives it here.
+// transition, so the recorder derives it here. Stamped with the shard
+// clock, the same instant the prober's Now() saw when it armed the cycle.
 func (n *cpNode) noteProbe(s *shard, cycle uint32, attempt uint8) {
-	now := s.fleet.sinceEpoch()
+	now := s.now
 	s.notePending(n, cycle, attempt, now)
 	s.counters.ProbesOut++
 	if s.rec != nil {
@@ -427,8 +430,8 @@ type deviceNode struct {
 
 var _ core.Env = (*deviceNode)(nil)
 
-// Now implements core.Env.
-func (n *deviceNode) Now() time.Duration { return n.shard.fleet.sinceEpoch() }
+// Now implements core.Env on the hosting shard's clock, like cpNode.Now.
+func (n *deviceNode) Now() time.Duration { return n.shard.now }
 
 // Send routes a message to a peer the device has heard from.
 func (n *deviceNode) Send(to ident.NodeID, msg core.Message) {
@@ -564,6 +567,7 @@ func (d *Device) Bye() {
 	if d.n.removed {
 		return
 	}
+	s.tick() // entry from outside the loop
 	var k *wire.AuthKey
 	if s.auth.enabled {
 		k = s.deviceOwnKey(d.n)
@@ -586,6 +590,7 @@ func (d *Device) Announce(maxAge time.Duration) {
 	if d.n.removed {
 		return
 	}
+	s.tick() // entry from outside the loop
 	var k *wire.AuthKey
 	if s.auth.enabled {
 		k = s.deviceOwnKey(d.n)

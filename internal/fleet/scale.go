@@ -328,6 +328,9 @@ func LoopbackScale(opts ScaleOptions) (ScaleResult, error) {
 		return res, err
 	}
 
+	// The harness times the join from outside, across two fleets that
+	// each have their own clock: it reads the wall clock, and is on
+	// TestClockSeamIsSingle's allow-list for it.
 	joinStart := time.Now()
 	pacer := NewJoinPacer(opts.CPs, opts.JoinRampUp)
 	cps := make([]*ControlPoint, opts.CPs)

@@ -57,7 +57,8 @@ type shardHists struct {
 }
 
 // us converts a duration to whole microseconds for histogram recording,
-// clamping negatives (clock skew between two sinceEpoch reads) to zero.
+// clamping negatives to zero: a handoff starts on one shard's clock and
+// ends on another's, and the two tick independently.
 func us(d time.Duration) uint64 {
 	if d <= 0 {
 		return 0

@@ -306,6 +306,7 @@ func (n *Network) Listen() (*Endpoint, error) {
 		n:      n,
 		addr:   addr,
 		inbox:  make(chan datagram, inboxCap),
+		wake:   make(chan struct{}, 1),
 		closed: make(chan struct{}),
 	}
 	n.eps[addr] = e
@@ -343,6 +344,7 @@ func (n *Network) ListenGroup(size int) ([]*Endpoint, error) {
 			addr:    addr,
 			grouped: true,
 			inbox:   make(chan datagram, inboxCap),
+			wake:    make(chan struct{}, 1),
 			closed:  make(chan struct{}),
 		}
 	}
@@ -746,8 +748,12 @@ type Endpoint struct {
 
 	mu       sync.Mutex
 	deadline time.Time
-	closed   chan struct{}
-	once     sync.Once
+	// wake tells a parked read that the deadline moved. Capacity 1: a
+	// token means "re-read the deadline", and one is enough however many
+	// SetReadDeadline calls raced to leave it.
+	wake   chan struct{}
+	closed chan struct{}
+	once   sync.Once
 }
 
 var _ fleet.BatchPacketConn = (*Endpoint)(nil)
@@ -755,12 +761,18 @@ var _ fleet.BatchPacketConn = (*Endpoint)(nil)
 // LocalAddrPort returns the endpoint's address.
 func (e *Endpoint) LocalAddrPort() netip.AddrPort { return e.addr }
 
-// SetReadDeadline bounds the next ReadFromUDPAddrPort. The zero time
+// SetReadDeadline bounds the next ReadFromUDPAddrPort and, like a
+// kernel socket, re-bounds one already parked: a past deadline makes it
+// return a timeout now, a later one extends the park. The zero time
 // means no deadline.
 func (e *Endpoint) SetReadDeadline(t time.Time) error {
 	e.mu.Lock()
 	e.deadline = t
 	e.mu.Unlock()
+	select {
+	case e.wake <- struct{}{}:
+	default: // a token is already waiting
+	}
 	return nil
 }
 
@@ -777,8 +789,36 @@ func (timeoutError) Timeout() bool   { return true }
 func (timeoutError) Temporary() bool { return true }
 
 // ReadFromUDPAddrPort blocks for the next datagram, the deadline or
-// Close, whichever comes first.
+// Close, whichever comes first. A SetReadDeadline while it is parked
+// takes effect at once.
 func (e *Endpoint) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
+	for {
+		n, from, err := e.readUntilDeadline(b)
+		if err != errDeadlineMoved {
+			return n, from, err
+		}
+	}
+}
+
+// errDeadlineMoved is readUntilDeadline's private "start over" signal.
+var errDeadlineMoved = errors.New("memnet: read deadline moved")
+
+// readUntilDeadline is one park of ReadFromUDPAddrPort under the
+// deadline in force when it starts; errDeadlineMoved reports that
+// SetReadDeadline ran meanwhile and the read must start over under the
+// new one.
+func (e *Endpoint) readUntilDeadline(b []byte) (int, netip.AddrPort, error) {
+	// A datagram already queued beats any deadline, even an expired one,
+	// mirroring a kernel socket with data ready.
+	if n, from, ok := e.poll(b); ok {
+		return n, from, nil
+	}
+	// Tokens left before this point announce deadlines the read below
+	// sees anyway.
+	select {
+	case <-e.wake:
+	default:
+	}
 	e.mu.Lock()
 	deadline := e.deadline
 	e.mu.Unlock()
@@ -786,19 +826,7 @@ func (e *Endpoint) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
 	if !deadline.IsZero() {
 		wait := time.Until(deadline)
 		if wait <= 0 {
-			// Drain anything already queued before declaring a timeout,
-			// mirroring a kernel socket with data ready.
-			for {
-				select {
-				case d := <-e.inbox:
-					if e.dropQueued(d) {
-						continue
-					}
-					return d.read(b)
-				default:
-					return 0, netip.AddrPort{}, timeoutError{}
-				}
-			}
+			return 0, netip.AddrPort{}, timeoutError{}
 		}
 		t := time.NewTimer(wait)
 		defer t.Stop()
@@ -815,6 +843,24 @@ func (e *Endpoint) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
 			return 0, netip.AddrPort{}, errClosed
 		case <-timeout:
 			return 0, netip.AddrPort{}, timeoutError{}
+		case <-e.wake:
+			return 0, netip.AddrPort{}, errDeadlineMoved
+		}
+	}
+}
+
+// poll copies out the next queued datagram, if any, without blocking.
+func (e *Endpoint) poll(b []byte) (int, netip.AddrPort, bool) {
+	for {
+		select {
+		case d := <-e.inbox:
+			if e.dropQueued(d) {
+				continue
+			}
+			n, from, _ := d.read(b)
+			return n, from, true
+		default:
+			return 0, netip.AddrPort{}, false
 		}
 	}
 }
@@ -879,18 +925,13 @@ func (e *Endpoint) ReadBatch(dgs []fleet.Datagram) (int, error) {
 	dgs[0].Addr = from
 	filled := 1
 	for filled < len(dgs) {
-		select {
-		case d := <-e.inbox:
-			if e.dropQueued(d) {
-				continue
-			}
-			k, from, _ := d.read(dgs[filled].Buf)
-			dgs[filled].Buf = dgs[filled].Buf[:k]
-			dgs[filled].Addr = from
-			filled++
-		default:
-			return filled, nil
+		k, from, ok := e.poll(dgs[filled].Buf)
+		if !ok {
+			break
 		}
+		dgs[filled].Buf = dgs[filled].Buf[:k]
+		dgs[filled].Addr = from
+		filled++
 	}
 	return filled, nil
 }

@@ -293,6 +293,60 @@ func TestReadDeadlineIsNetTimeout(t *testing.T) {
 	}
 }
 
+// TestSetReadDeadlineRebindsParkedRead: like a kernel socket, moving
+// the deadline takes effect on a read that is already parked — a past
+// deadline times it out now (the fleet's inbox and handoff wake-ups
+// rely on this), a later one keeps it parked beyond the old deadline.
+func TestSetReadDeadlineRebindsParkedRead(t *testing.T) {
+	n := memnet.New(memnet.Faults{})
+	defer n.Close()
+	e, _ := n.Listen()
+	park := func() <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := e.ReadFromUDPAddrPort(make([]byte, 16))
+			done <- err
+		}()
+		// Let the reader park. Not needed for the outcome — a read that
+		// starts after the deadline moved sees the new one on entry — only
+		// to exercise the parked path.
+		time.Sleep(20 * time.Millisecond)
+		return done
+	}
+	wantTimeout := func(done <-chan error, within time.Duration, what string) {
+		t.Helper()
+		select {
+		case err := <-done:
+			var nerr net.Error
+			if !errorsAs(err, &nerr) || !nerr.Timeout() {
+				t.Fatalf("%s: read returned %v, want a timeout", what, err)
+			}
+		case <-time.After(within):
+			t.Fatalf("%s: read still parked after %v", what, within)
+		}
+	}
+
+	e.SetReadDeadline(time.Now().Add(time.Minute))
+	done := park()
+	poked := time.Now()
+	e.SetReadDeadline(time.Unix(1, 0))
+	wantTimeout(done, 5*time.Second, "deadline moved into the past")
+	if took := time.Since(poked); took > 500*time.Millisecond {
+		t.Errorf("parked read took %v to notice the past deadline", took)
+	}
+
+	e.SetReadDeadline(time.Now().Add(60 * time.Millisecond))
+	done = park()
+	e.SetReadDeadline(time.Now().Add(time.Minute))
+	select {
+	case err := <-done:
+		t.Fatalf("read returned %v at its old deadline; the later one should have extended the park", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	e.SetReadDeadline(time.Unix(1, 0))
+	wantTimeout(done, 5*time.Second, "extended park poked")
+}
+
 func TestCloseWakesReader(t *testing.T) {
 	n := memnet.New(memnet.Faults{})
 	defer n.Close()

@@ -15,14 +15,23 @@ import (
 // (internal/fleet); like the engines themselves it is not safe for
 // concurrent use — owners serialise access under their node mutex.
 type PeerTable struct {
-	max   int
-	seq   uint64
-	addrs map[ident.NodeID]netip.AddrPort
-	seqs  map[ident.NodeID]uint64
+	max int
+	seq uint64
+	// peers holds one entry per remembered peer, by pointer: a Note on a
+	// known peer — every probe after the first — is one lookup and an
+	// in-place update.
+	peers map[ident.NodeID]*peerEntry
 	// onEvict, if set, observes every peer dropped by the LRU bound, so
 	// owners keeping per-peer side state (the fleet's key-schedule cache)
 	// stay in sync with the table.
 	onEvict func(ident.NodeID)
+}
+
+// peerEntry is a peer's last known address and when it was last seen,
+// on the table's Note counter.
+type peerEntry struct {
+	addr netip.AddrPort
+	seq  uint64
 }
 
 // OnEvict installs fn as the eviction observer: it is called with the
@@ -33,48 +42,48 @@ func (t *PeerTable) OnEvict(fn func(ident.NodeID)) { t.onEvict = fn }
 // NewPeerTable returns a table holding at most max peers (max must be
 // positive).
 func NewPeerTable(max int) *PeerTable {
-	return &PeerTable{
-		max:   max,
-		addrs: make(map[ident.NodeID]netip.AddrPort),
-		seqs:  make(map[ident.NodeID]uint64),
-	}
+	return &PeerTable{max: max, peers: make(map[ident.NodeID]*peerEntry)}
 }
 
 // Note records the sender's address, evicting the least recently seen
 // peer when the table is full.
 func (t *PeerTable) Note(id ident.NodeID, addr netip.AddrPort) {
 	t.seq++
-	if _, known := t.addrs[id]; !known && len(t.addrs) >= t.max {
+	if e := t.peers[id]; e != nil {
+		e.addr, e.seq = addr, t.seq
+		return
+	}
+	if len(t.peers) >= t.max {
 		var oldest ident.NodeID
 		oldestSeq := t.seq
-		for p, at := range t.seqs {
-			if at < oldestSeq {
-				oldest, oldestSeq = p, at
+		for p, e := range t.peers {
+			if e.seq < oldestSeq {
+				oldest, oldestSeq = p, e.seq
 			}
 		}
-		delete(t.addrs, oldest)
-		delete(t.seqs, oldest)
+		delete(t.peers, oldest)
 		if t.onEvict != nil {
 			t.onEvict(oldest)
 		}
 	}
-	t.addrs[id] = addr
-	t.seqs[id] = t.seq
+	t.peers[id] = &peerEntry{addr: addr, seq: t.seq}
 }
 
 // Lookup returns the last known address of a peer.
 func (t *PeerTable) Lookup(id ident.NodeID) (netip.AddrPort, bool) {
-	addr, ok := t.addrs[id]
-	return addr, ok
+	if e := t.peers[id]; e != nil {
+		return e.addr, true
+	}
+	return netip.AddrPort{}, false
 }
 
 // Len returns the number of remembered peers.
-func (t *PeerTable) Len() int { return len(t.addrs) }
+func (t *PeerTable) Len() int { return len(t.peers) }
 
 // Each calls fn for every remembered peer (iteration order is
 // unspecified; fn must not mutate the table).
 func (t *PeerTable) Each(fn func(id ident.NodeID, addr netip.AddrPort)) {
-	for id, addr := range t.addrs {
-		fn(id, addr)
+	for id, e := range t.peers {
+		fn(id, e.addr)
 	}
 }

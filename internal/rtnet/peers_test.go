@@ -60,3 +60,62 @@ func TestPeerTableRefreshDoesNotEvict(t *testing.T) {
 		t.Fatal("refresh of a known peer evicted another entry")
 	}
 }
+
+// TestPeerTableLRUOrder: evictions follow last-seen order exactly, with
+// refreshes reordering it, and each eviction reaches OnEvict once.
+func TestPeerTableLRUOrder(t *testing.T) {
+	pt := NewPeerTable(4)
+	evictions := map[ident.NodeID]int{}
+	var order []ident.NodeID
+	pt.OnEvict(func(id ident.NodeID) {
+		evictions[id]++
+		order = append(order, id)
+	})
+	for id := ident.NodeID(1); id <= 4; id++ {
+		pt.Note(id, addrN(uint16(id)))
+	}
+	pt.Note(2, addrN(2)) // last seen: 1 3 4 2
+	pt.Note(1, addrN(1)) // last seen: 3 4 2 1
+	for id := ident.NodeID(5); id <= 8; id++ {
+		pt.Note(id, addrN(uint16(id)))
+	}
+	want := []ident.NodeID{3, 4, 2, 1}
+	if len(order) != len(want) {
+		t.Fatalf("evicted %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("evicted %v, want %v", order, want)
+		}
+	}
+	for id, n := range evictions {
+		if n != 1 {
+			t.Errorf("peer %d evicted %d times, want once", id, n)
+		}
+	}
+	for id := ident.NodeID(1); id <= 4; id++ {
+		if _, ok := pt.Lookup(id); ok {
+			t.Errorf("evicted peer %d still resolves", id)
+		}
+	}
+	if pt.Len() != 4 {
+		t.Errorf("Len = %d, want 4", pt.Len())
+	}
+}
+
+// TestPeerTableKnownPeerNoteZeroAlloc: every probe after a peer's first
+// refreshes its entry in place.
+func TestPeerTableKnownPeerNoteZeroAlloc(t *testing.T) {
+	pt := NewPeerTable(8)
+	pt.Note(1, addrN(1))
+	a, b := addrN(2), addrN(3)
+	if allocs := testing.AllocsPerRun(100, func() {
+		pt.Note(1, a)
+		pt.Note(1, b)
+	}); allocs != 0 {
+		t.Fatalf("Note on a known peer allocates %.1f times, want 0", allocs)
+	}
+	if got, _ := pt.Lookup(1); got != b {
+		t.Fatalf("Lookup = %v, want the last noted address %v", got, b)
+	}
+}

@@ -107,8 +107,8 @@ func Encode(msg core.Message) ([]byte, error) {
 // fleet's per-packet send path is built on (the caller keeps ownership
 // either way).
 func AppendEncode(dst []byte, msg core.Message) ([]byte, error) {
-	f, err := frameOf(msg)
-	if err != nil {
+	var f Frame
+	if err := frameOf(&f, msg); err != nil {
 		return nil, err
 	}
 	return AppendEncodeFrame(dst, &f)
@@ -119,42 +119,40 @@ func AppendEncode(dst []byte, msg core.Message) ([]byte, error) {
 // when dst has capacity — the fleet's send path signs into its reusable
 // send-queue slots.
 func AppendEncodeAuth(dst []byte, msg core.Message, k *AuthKey) ([]byte, error) {
-	f, err := frameOf(msg)
-	if err != nil {
+	var f Frame
+	if err := frameOf(&f, msg); err != nil {
 		return nil, err
 	}
 	return AppendEncodeFrameAuth(dst, &f, k)
 }
 
-// frameOf flattens a boxed message into a Frame. Pooled pointer forms
-// flatten identically to their value forms without boxing them back.
-func frameOf(msg core.Message) (Frame, error) {
-	var f Frame
+// frameOf flattens a boxed message into the caller's zero Frame, in
+// place — at 88 bytes a Frame is too big to return by value once per
+// packet. Pooled pointer forms flatten identically to their value forms
+// without boxing them back.
+func frameOf(f *Frame, msg core.Message) error {
 	switch m := msg.(type) {
 	case core.ProbeMsg:
-		f = Frame{Kind: KindProbe, From: m.From, Cycle: m.Cycle, Attempt: m.Attempt}
+		f.Kind, f.From, f.Cycle, f.Attempt = KindProbe, m.From, m.Cycle, m.Attempt
 	case *core.ProbeMsg:
-		f = Frame{Kind: KindProbe, From: m.From, Cycle: m.Cycle, Attempt: m.Attempt}
+		f.Kind, f.From, f.Cycle, f.Attempt = KindProbe, m.From, m.Cycle, m.Attempt
 	case core.ReplyMsg:
-		f = Frame{From: m.From, Cycle: m.Cycle, Attempt: m.Attempt}
-		if err := replyFrame(&f, m.Payload); err != nil {
-			return Frame{}, err
-		}
+		f.From, f.Cycle, f.Attempt = m.From, m.Cycle, m.Attempt
+		return replyFrame(f, m.Payload)
 	case *core.ReplyMsg:
-		f = Frame{From: m.From, Cycle: m.Cycle, Attempt: m.Attempt}
-		if err := replyFrame(&f, m.Payload); err != nil {
-			return Frame{}, err
-		}
+		f.From, f.Cycle, f.Attempt = m.From, m.Cycle, m.Attempt
+		return replyFrame(f, m.Payload)
 	case core.ByeMsg:
-		f = Frame{Kind: KindBye, From: m.From}
+		f.Kind, f.From = KindBye, m.From
 	case core.AnnounceMsg:
-		f = Frame{Kind: KindAnnounce, From: m.From, MaxAge: m.MaxAge}
+		f.Kind, f.From, f.MaxAge = KindAnnounce, m.From, m.MaxAge
 	case core.LeaveNotice:
-		f = Frame{Kind: KindLeave, From: m.Origin, Device: m.Device, Origin: m.Origin, Seq: m.Seq, TTL: m.TTL}
+		f.Kind, f.From = KindLeave, m.Origin
+		f.Device, f.Origin, f.Seq, f.TTL = m.Device, m.Origin, m.Seq, m.TTL
 	default:
-		return Frame{}, fmt.Errorf("wire: unsupported message type %T", msg)
+		return fmt.Errorf("wire: unsupported message type %T", msg)
 	}
-	return f, nil
+	return nil
 }
 
 // replyFrame fills the payload union from either payload form.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -336,5 +337,88 @@ func TestDecodeFrameZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("DecodeFrame allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestAppendEncodeMatchesFrameEncode pins the message → Frame
+// flattening (frameOf fills the caller's Frame in place) against
+// hand-built Frames: for every message kind, in value and in pointer
+// form, AppendEncode and AppendEncodeAuth produce exactly the bytes
+// AppendEncodeFrame and AppendEncodeFrameAuth produce — no field left
+// out, none left over from the zero Frame.
+func TestAppendEncodeMatchesFrameEncode(t *testing.T) {
+	sapp := core.SAPPReply{ProbeCount: 1<<40 + 3, LastProbers: [2]ident.NodeID{4, 5}}
+	dcpp := core.DCPPReply{Wait: -1500 * time.Millisecond}
+	cases := []struct {
+		name string
+		msgs []core.Message // every boxed form of one message
+		f    Frame
+	}{
+		{"probe",
+			[]core.Message{
+				core.ProbeMsg{From: 7, Cycle: 0xCAFEBABE, Attempt: 3},
+				&core.ProbeMsg{From: 7, Cycle: 0xCAFEBABE, Attempt: 3},
+			},
+			Frame{Kind: KindProbe, From: 7, Cycle: 0xCAFEBABE, Attempt: 3}},
+		{"reply-sapp",
+			[]core.Message{
+				core.ReplyMsg{From: 9, Cycle: 12, Attempt: 1, Payload: sapp},
+				core.ReplyMsg{From: 9, Cycle: 12, Attempt: 1, Payload: &sapp},
+				&core.ReplyMsg{From: 9, Cycle: 12, Attempt: 1, Payload: sapp},
+				&core.ReplyMsg{From: 9, Cycle: 12, Attempt: 1, Payload: &sapp},
+			},
+			Frame{Kind: KindReplySAPP, From: 9, Cycle: 12, Attempt: 1, ProbeCount: sapp.ProbeCount, LastProbers: sapp.LastProbers}},
+		{"reply-dcpp",
+			[]core.Message{
+				core.ReplyMsg{From: 9, Cycle: 13, Attempt: 2, Payload: dcpp},
+				core.ReplyMsg{From: 9, Cycle: 13, Attempt: 2, Payload: &dcpp},
+				&core.ReplyMsg{From: 9, Cycle: 13, Attempt: 2, Payload: dcpp},
+				&core.ReplyMsg{From: 9, Cycle: 13, Attempt: 2, Payload: &dcpp},
+			},
+			Frame{Kind: KindReplyDCPP, From: 9, Cycle: 13, Attempt: 2, Wait: dcpp.Wait}},
+		{"reply-empty",
+			[]core.Message{
+				core.ReplyMsg{From: 2, Cycle: 1, Attempt: 2, Payload: core.EmptyReply{}},
+				&core.ReplyMsg{From: 2, Cycle: 1, Attempt: 2, Payload: core.EmptyReply{}},
+			},
+			Frame{Kind: KindReplyEmpty, From: 2, Cycle: 1, Attempt: 2}},
+		{"bye",
+			[]core.Message{core.ByeMsg{From: 11}},
+			Frame{Kind: KindBye, From: 11}},
+		{"announce",
+			[]core.Message{core.AnnounceMsg{From: 13, MaxAge: time.Minute}},
+			Frame{Kind: KindAnnounce, From: 13, MaxAge: time.Minute}},
+		{"leave",
+			[]core.Message{core.LeaveNotice{Device: 1, Origin: 2, Seq: 77, TTL: 4}},
+			Frame{Kind: KindLeave, From: 2, Device: 1, Origin: 2, Seq: 77, TTL: 4}},
+	}
+	k := pairKey(t, 7, 9)
+	for _, tc := range cases {
+		f := tc.f
+		want, err := AppendEncodeFrame(nil, &f)
+		if err != nil {
+			t.Fatalf("%s: AppendEncodeFrame: %v", tc.name, err)
+		}
+		f = tc.f
+		wantAuth, err := AppendEncodeFrameAuth(nil, &f, k)
+		if err != nil {
+			t.Fatalf("%s: AppendEncodeFrameAuth: %v", tc.name, err)
+		}
+		for _, msg := range tc.msgs {
+			got, err := AppendEncode(nil, msg)
+			if err != nil {
+				t.Fatalf("%s: AppendEncode(%T): %v", tc.name, msg, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: AppendEncode(%T) = %x, frame encode = %x", tc.name, msg, got, want)
+			}
+			got, err = AppendEncodeAuth(nil, msg, k)
+			if err != nil {
+				t.Fatalf("%s: AppendEncodeAuth(%T): %v", tc.name, msg, err)
+			}
+			if !bytes.Equal(got, wantAuth) {
+				t.Errorf("%s: AppendEncodeAuth(%T) = %x, frame encode = %x", tc.name, msg, got, wantAuth)
+			}
+		}
 	}
 }
