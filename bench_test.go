@@ -1,6 +1,7 @@
 // Benchmarks regenerating each table and figure of the paper's
 // evaluation (one benchmark per artefact, short horizons so `go test
-// -bench` stays tractable; use cmd/probebench for paper-scale runs).
+// -bench` stays tractable; use cmd/probebench for paper-scale runs),
+// plus the simulator's throughput benchmark and allocation gate.
 // Custom metrics attach the reproduced quantities to the benchmark
 // output, e.g. fig5's load_mean ≈ 9.7 probes/s.
 package presence_test
@@ -117,18 +118,47 @@ func BenchmarkExtNaiveLoad(b *testing.B) {
 // seconds per wall second for the Fig. 5 scenario.
 func BenchmarkSimulationThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w, err := presence.NewSimulation(presence.SimConfig{
-			Protocol: presence.ProtocolDCPP,
-			Seed:     uint64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.StartChurn(presence.DefaultUniformChurn()); err != nil {
-			b.Fatal(err)
-		}
-		w.Run(60 * 1e9) // 60 simulated seconds
+		w := runFig5(b, uint64(i))
 		b.ReportMetric(float64(w.Sim().Executed()), "events/op")
+	}
+}
+
+// runFig5 runs the Fig. 5 churn scenario under DCPP for 60 simulated
+// seconds with one seed.
+func runFig5(tb testing.TB, seed uint64) *presence.World {
+	w, err := presence.NewSimulation(presence.SimConfig{
+		Protocol: presence.ProtocolDCPP,
+		Seed:     seed,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.StartChurn(presence.DefaultUniformChurn()); err != nil {
+		tb.Fatal(err)
+	}
+	w.Run(60 * 1e9)
+	return w
+}
+
+// simAllocBudget bounds the mean allocations of one
+// BenchmarkSimulationThroughput op: 10 % above the 1 655 measured over
+// seeds 1–32 when the bound was set. Allocation counts do not depend on
+// the machine, so unlike ns/op this is a gate every box can apply.
+const simAllocBudget = 1820
+
+// TestSimulationAllocBudget is the simulator's allocation gate: the
+// Fig. 5 churn scenario, 60 simulated seconds a run, one seed per run.
+func TestSimulationAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	var seed uint64
+	allocs := testing.AllocsPerRun(32, func() {
+		runFig5(t, seed)
+		seed++
+	})
+	if allocs > simAllocBudget {
+		t.Fatalf("simulator allocates %.0f per op, budget %d", allocs, simAllocBudget)
 	}
 }
 

@@ -1,14 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"presence/internal/conformance"
-	"presence/internal/fleet"
 )
 
 func TestListExperiments(t *testing.T) {
@@ -60,55 +56,6 @@ func TestRunWithPlot(t *testing.T) {
 	}
 }
 
-func TestJSONSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_test.json")
-	var out strings.Builder
-	err := run([]string{"-scale", "short", "-only", "ext-naive-load", "-out", "", "-json", "-jsonpath", path}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap benchSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
-	}
-	if snap.Throughput.EventsPerSec <= 0 || snap.Throughput.AllocsPerOp < 0 {
-		t.Fatalf("throughput section not populated: %+v", snap.Throughput)
-	}
-	if _, ok := snap.Metrics["ext-naive-load"]["load_k10"]; !ok {
-		t.Fatalf("experiment metrics missing from snapshot: %+v", snap.Metrics)
-	}
-}
-
-func TestJSONAutoNumbering(t *testing.T) {
-	dir := t.TempDir()
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(cwd)
-	if err := os.WriteFile("BENCH_1.json", []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	path, err := writeJSONSnapshot("", 1, "short", nil, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if path != "BENCH_2.json" {
-		t.Fatalf("auto-numbered path = %q, want BENCH_2.json", path)
-	}
-	if _, err := os.Stat("BENCH_2.json"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRejectsBadInputs(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-scale", "bogus"}, &out); err == nil {
@@ -117,218 +64,15 @@ func TestRejectsBadInputs(t *testing.T) {
 	if err := run([]string{"-only", "no-such-id"}, &out); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if err := run([]string{"-scenario", "fig5-uniform-churn", "-fleet"}, &out); err == nil {
-		t.Error("-scenario with -fleet accepted")
+	if err := run([]string{"-scenario", "fig5-uniform-churn", "-scale", "short"}, &out); err == nil {
+		t.Error("-scenario with -scale accepted")
 	}
-	if err := run([]string{"-scenario", "fig5-uniform-churn", "-conformance"}, &out); err == nil {
-		t.Error("-scenario with -conformance accepted")
-	}
-	if err := run([]string{"-compare", "only-one.json"}, &out); err == nil {
-		t.Error("-compare with one path accepted")
-	}
-	if err := run([]string{"-scale", "short", "-only", "ext-naive-load", "-out", "", "-conformance", "-conformance-scenario", "nope"}, &out); err == nil {
-		t.Error("unknown conformance scenario accepted")
-	}
-}
-
-// writeSnapshotFile writes a hand-built snapshot for -compare tests.
-func writeSnapshotFile(t *testing.T, path string, snap benchSnapshot) {
-	t.Helper()
-	b, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCompareMode(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	base := benchSnapshot{
-		Seed: 2005, Scale: "short",
-		Throughput: throughputStats{NsPerOp: 1_000_000, AllocsPerOp: 1500, EventsPerOp: 50000},
-		Metrics:    map[string]map[string]float64{"fig5-dcpp-churn": {"load_mean": 9.7}},
-	}
-	writeSnapshotFile(t, oldPath, base)
-
-	// Within limits: slightly fewer allocs, slightly slower.
-	improved := base
-	improved.Throughput = throughputStats{NsPerOp: 1_050_000, AllocsPerOp: 1400, EventsPerOp: 50000}
-	writeSnapshotFile(t, newPath, improved)
-	var out strings.Builder
-	if err := run([]string{"-compare", oldPath, newPath}, &out); err != nil {
-		t.Fatalf("clean compare failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "no regression") {
-		t.Fatalf("missing verdict:\n%s", out.String())
-	}
-
-	// Alloc regression beyond 10%.
-	leaky := base
-	leaky.Throughput = throughputStats{NsPerOp: 1_000_000, AllocsPerOp: 2000, EventsPerOp: 50000}
-	writeSnapshotFile(t, newPath, leaky)
-	out.Reset()
-	err := run([]string{"-compare", oldPath, newPath}, &out)
-	if err == nil || !strings.Contains(err.Error(), "allocs/op") {
-		t.Fatalf("alloc regression not flagged: %v", err)
-	}
-
-	// Catastrophic slowdown beyond the default 100%.
-	slow := base
-	slow.Throughput = throughputStats{NsPerOp: 2_500_000, AllocsPerOp: 1500, EventsPerOp: 50000}
-	writeSnapshotFile(t, newPath, slow)
-	out.Reset()
-	err = run([]string{"-compare", oldPath, newPath}, &out)
-	if err == nil || !strings.Contains(err.Error(), "ns/op") {
-		t.Fatalf("slowdown not flagged: %v", err)
-	}
-	// ... unless the wall-time gate is disabled (flags precede the
-	// positional snapshot paths, per package flag).
-	out.Reset()
-	if err := run([]string{"-compare", "-compare-max-slowdown", "0", oldPath, newPath}, &out); err != nil {
-		t.Fatalf("disabled time gate still failed: %v", err)
-	}
-
-	// The auth section is an absolute gate on the new snapshot: the
-	// authenticated hot path must stay allocation-free.
-	leakyAuth := base
-	leakyAuth.Auth = &authSection{
-		AuthOn:  fleet.HotPathStats{NsPerOp: 95000, AllocsPerOp: 3, PacketsPerOp: 256},
-		AuthOff: fleet.HotPathStats{NsPerOp: 57000, AllocsPerOp: 0, PacketsPerOp: 256},
-	}
-	writeSnapshotFile(t, newPath, leakyAuth)
-	out.Reset()
-	err = run([]string{"-compare", oldPath, newPath}, &out)
-	if err == nil || !strings.Contains(err.Error(), "authenticated hot path allocates") {
-		t.Fatalf("auth alloc regression not flagged: %v", err)
-	}
-
-	// ... and the authenticated adversarial battery is re-gated like the
-	// hardened one: an accepted forgery in a committed snapshot fails.
-	forged := base
-	forged.Adversarial = &adversarialSection{
-		AuthAuthenticated: []*conformance.AdvResult{{
-			Scenario: "adv-auth-downgrade", Seed: 42, Harden: true, Auth: true,
-			Adv:  conformance.AdvMetrics{FalsePresent: 8},
-			Pass: false,
-		}},
-	}
-	writeSnapshotFile(t, newPath, forged)
-	out.Reset()
-	err = run([]string{"-compare", oldPath, newPath}, &out)
-	if err == nil || !strings.Contains(err.Error(), "adv-auth-downgrade") {
-		t.Fatalf("auth adversarial regression not flagged: %v", err)
-	}
-
-	// Metric drift is reported (informationally) when seed+scale match.
-	drift := base
-	drift.Metrics = map[string]map[string]float64{"fig5-dcpp-churn": {"load_mean": 9.9}}
-	writeSnapshotFile(t, newPath, drift)
-	out.Reset()
-	if err := run([]string{"-compare", oldPath, newPath}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "1 differing") {
-		t.Fatalf("metric drift not reported:\n%s", out.String())
-	}
-}
-
-// TestConformanceSection runs one conformance case through the CLI and
-// checks the report and the snapshot section.
-func TestConformanceSection(t *testing.T) {
-	if testing.Short() {
-		t.Skip("5s real-time fleet replay")
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_conf.json")
-	var out strings.Builder
-	err := run([]string{
-		"-scale", "short", "-only", "ext-naive-load", "-out", "",
-		"-conformance", "-conformance-scenario", "conf-churn",
-		"-json", "-jsonpath", path,
-	}, &out)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "conformance conf-churn") || !strings.Contains(out.String(), "PASS") {
-		t.Fatalf("conformance section missing:\n%s", out.String())
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap benchSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Conformance) != 1 || !snap.Conformance[0].Pass || snap.Conformance[0].Scenario != "conf-churn" {
-		t.Fatalf("conformance snapshot section = %+v", snap.Conformance)
-	}
-}
-
-func TestFleetSnapshotSection(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_fleet.json")
-	var out strings.Builder
-	err := run([]string{
-		"-scale", "short", "-only", "ext-naive-load", "-out", "",
-		"-fleet", "-fleet-cps", "200", "-fleet-devices", "2", "-fleet-window", "500ms",
-		"-json", "-jsonpath", path,
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "CPs steady on") {
-		t.Fatalf("fleet summary missing from output:\n%s", out.String())
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap benchSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Fleet == nil || snap.Fleet.Scale == nil {
-		t.Fatal("snapshot has no fleet scale section")
-	}
-	if snap.Fleet.Scale.SteadyCPs != 200 || snap.Fleet.Scale.SteadyProbesPerSec <= 0 {
-		t.Fatalf("fleet scale section = %+v", snap.Fleet.Scale)
-	}
-	if snap.Fleet.Scale.SyscallsIn == 0 || snap.Fleet.Scale.BatchFillMeanIn <= 0 {
-		t.Fatalf("fleet scale section missing syscall accounting: %+v", snap.Fleet.Scale)
-	}
-	if snap.HotPath == nil || snap.HotPath.Batch.PacketsPerSec <= 0 || snap.HotPath.Single.PacketsPerSec <= 0 {
-		t.Fatalf("snapshot hot-path section = %+v", snap.HotPath)
-	}
-	if snap.HotPath.Batch.AllocsPerOp != 0 {
-		t.Fatalf("shard hot path allocates: %+v", snap.HotPath.Batch)
-	}
-}
-
-func TestParseFleetSweep(t *testing.T) {
-	entries, err := parseFleetSweep("1x200x10,2x300x2.5s,1x100x1m,1x100x1sm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 4 {
-		t.Fatalf("got %d entries", len(entries))
-	}
-	e := entries[1]
-	if e.opts.Shards != 2 || e.opts.CPs != 300 || e.opts.ProbeHz != 2.5 || !e.opts.ForceSingleDatagram || e.memnet {
-		t.Fatalf("entry 1 = %+v", e)
-	}
-	if !entries[2].memnet || entries[2].opts.ForceSingleDatagram {
-		t.Fatalf("entry 2 = %+v", entries[2])
-	}
-	if !entries[3].memnet || !entries[3].opts.ForceSingleDatagram {
-		t.Fatalf("entry 3 = %+v", entries[3])
-	}
-	if _, err := parseFleetSweep("bogus"); err == nil {
-		t.Fatal("want error for malformed sweep")
+	// The measurement modes moved to bench/ and to go test names; their
+	// flags fail loudly instead of being ignored.
+	for _, retired := range []string{"-json", "-compare", "-fleet", "-conformance", "-adversarial"} {
+		if err := run([]string{"-scale", "short", "-only", "ext-naive-load", "-out", "", retired}, &out); err == nil {
+			t.Errorf("retired flag %s accepted", retired)
+		}
 	}
 }
 

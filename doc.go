@@ -54,9 +54,11 @@
 // Determinism is a hard invariant throughout: for a fixed seed, event
 // order, network draws and every reported metric reproduce exactly;
 // regression tests in internal/des, internal/simrun and
-// internal/experiments pin it. cmd/probebench -json records events/sec
-// and allocs/op snapshots (BENCH_<n>.json) to keep the trajectory
-// machine-readable across changes.
+// internal/experiments pin it. Performance is measured by the benchmark
+// of record in bench/ (its own module, `bash bench/run.sh`, catalogued
+// in BENCHMARK.json); machine-independent budgets are go tests —
+// TestSimulationAllocBudget for the simulator, TestShardHotPathZeroAlloc
+// for the fleet's packet path.
 //
 // # Fleet runtime
 //
@@ -90,11 +92,10 @@
 //     counter is one Counters field and one fleet.CounterDefs row
 //     (name, help text), which /metrics, /statusz and the probefleet
 //     dump all read (internal/fleet/counters.go); the loopback
-//     scale harness (fleet.LoopbackScale, probebench -fleet) measures
-//     CPs/process and probes/s into the BENCH_<n>.json trajectory —
-//     10,000 control points reach steady state on GOMAXPROCS event-loop
-//     goroutines with the aggregate probe rate pinned at DCPP's L_nom
-//     budget;
+//     scale harness (fleet.LoopbackScale) measures CPs/process and
+//     probes/s — 10,000 control points reach steady state on
+//     GOMAXPROCS event-loop goroutines with the aggregate probe rate
+//     pinned at DCPP's L_nom budget;
 //   - each shard reads and writes through the fleet.PacketConn seam:
 //     kernel UDP sockets in production, or any custom fleet.Transport —
 //     internal/memnet supplies a deterministic in-memory network with
@@ -123,8 +124,8 @@
 // protocol invariants online from a wire tap (absent verdicts only
 // after the retransmit budget, cycle monotonicity, bye-before-silence)
 // and diffs detection-latency/load/false-positive metrics within
-// documented tolerances (probebench -conformance; the conf-* scenarios
-// in the registry are the standing battery).
+// documented tolerances (TestConformanceSuite; the conf-* scenarios in
+// the registry are the standing battery).
 //
 // # Adversarial hardening
 //
@@ -137,9 +138,9 @@
 // verification (core.ProberOptions.VerifyBye: a BYE triggers a probe
 // cycle instead of an immediate verdict) and per-source admission — and
 // internal/conformance diffs the attacked run against the attack-free
-// simulation to score false verdicts (probebench -adversarial;
-// hardened-vs-unhardened results in EXPERIMENTS.md "Adversarial
-// workloads").
+// simulation to score false verdicts (TestAdversarialHardened,
+// TestAuthAdversarial; hardened-vs-unhardened results in EXPERIMENTS.md
+// "Adversarial workloads").
 //
 // # Authenticated frames
 //
@@ -185,10 +186,10 @@
 //     /metrics, /healthz, /statusz (per-shard JSON snapshot including
 //     memnet middlebox counters when scraping a memnet-backed fleet)
 //     and explicitly registered pprof handlers on one gracefully
-//     shut-down mux. probebench snapshots the telemetry plane's
-//     hot-path cost (metrics on vs off) into the BENCH_<n>.json
-//     "observability" section, and -compare fails if the instrumented
-//     path ever allocates.
+//     shut-down mux. The traced hot-plain benchmark reports the
+//     telemetry plane's hot-path cost (fleet.telemetry_ns), and
+//     TestShardHotPathZeroAlloc fails if the instrumented path ever
+//     allocates.
 //
 // # Quick start (simulation)
 //

@@ -20,7 +20,6 @@ import (
 	"net/netip"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"presence/internal/ident"
 	"presence/internal/memnet"
@@ -388,39 +387,4 @@ func RunAdversarial(c AdvCase, seed uint64) (*AdvResult, error) {
 	res.Pass = !(c.Harden || c.Auth) ||
 		(a.FalseAbsent == 0 && a.FalsePresent == 0 && len(res.Violations) == 0)
 	return res, nil
-}
-
-// RunAdversarialSuite executes the standing adversarial battery at one
-// hardening setting with one seed.
-func RunAdversarialSuite(seed uint64, harden bool) ([]*AdvResult, error) {
-	var out []*AdvResult
-	for _, c := range DefaultAdvCases(harden) {
-		r, err := RunAdversarial(c, seed)
-		if err != nil {
-			return out, fmt.Errorf("conformance: %s: %w", c.Scenario, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// RunAuthAdversarialSuite executes the authenticated-wire battery (the
-// adv-auth-* scenarios) with one seed, with frame authentication on
-// (gated) or off (demonstration).
-func RunAuthAdversarialSuite(seed uint64, auth bool) ([]*AdvResult, error) {
-	var out []*AdvResult
-	for _, c := range DefaultAuthAdvCases(auth) {
-		r, err := RunAdversarial(c, seed)
-		if err != nil {
-			return out, fmt.Errorf("conformance: %s: %w", c.Scenario, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// advRuntimeBudget is a hint for callers sizing timeouts: one
-// adversarial case replays its scenario horizon in real time.
-func advRuntimeBudget(spec *scenario.Spec) time.Duration {
-	return spec.Horizon.Std() + time.Second
 }

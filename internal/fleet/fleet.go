@@ -333,8 +333,9 @@ type Config struct {
 	// RTT, detection latency, handoff latency, batch fill, timer-cascade
 	// duration — see telemetry.go). Telemetry is on by default: recording
 	// a sample is a few uncontended atomic adds with no allocation, pinned
-	// inside the 0 allocs/op hot-path gate. The switch exists so
-	// probebench can measure exactly what the samples cost.
+	// inside the 0 allocs/op hot-path gate. The switch exists so the
+	// benchmark's traced hot-* runs can measure exactly what the samples
+	// cost (the fleet.telemetry_ns row).
 	DisableTelemetry bool
 	// FlightRecorder is the per-shard flight-recorder capacity: how many
 	// probe-lifecycle events each shard retains for /debug/flight and

@@ -431,6 +431,53 @@ func TestFleetScaleLoopback1k(t *testing.T) {
 	}
 }
 
+// TestLoopbackScaleTransportPaths runs the harness in high-rate mode
+// over kernel UDP on every transport path the runtime ships — batched
+// I/O, the single-datagram fallback, and the SO_REUSEPORT layout at one
+// and two shards. Every run must keep all its CPs steady, decode every
+// frame and account its syscalls; the single-datagram path must never
+// carry more than one packet a call. Throughput is not asserted here:
+// it is machine-dependent, and the benchmark of record (bench/,
+// udp-busy) measures it.
+func TestLoopbackScaleTransportPaths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale test")
+	}
+	for _, tc := range []struct {
+		name string
+		opts ScaleOptions
+	}{
+		{"batch", ScaleOptions{Shards: 1, ProbeHz: 4}},
+		{"single", ScaleOptions{Shards: 1, ProbeHz: 4, ForceSingleDatagram: true}},
+		{"reuseport-1", ScaleOptions{Shards: 1, ProbeHz: 10, ReusePort: true}},
+		{"reuseport-2", ScaleOptions{Shards: 2, ProbeHz: 10, ReusePort: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			opts.CPs, opts.Devices, opts.Window = 1000, 2, time.Second
+			res, err := LoopbackScale(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d CPs steady; %.0f probes/s of %.0f offered; fill %.1f in / %.1f out; imbalance %.2f; handoffs %d in / %d out",
+				res.SteadyCPs, res.SteadyProbesPerSec, res.BudgetProbesPerSec,
+				res.BatchFillMeanIn, res.BatchFillMeanOut, res.ShardImbalance, res.HandoffsIn, res.HandoffsOut)
+			if res.SteadyCPs != res.CPs {
+				t.Errorf("steady CPs = %d, want %d", res.SteadyCPs, res.CPs)
+			}
+			if res.DecodeErrors != 0 {
+				t.Errorf("decode errors = %d", res.DecodeErrors)
+			}
+			if res.SteadyProbesPerSec <= 0 || res.SyscallsIn == 0 || res.BatchFillMeanIn <= 0 {
+				t.Errorf("no traffic or syscall accounting: %+v", res)
+			}
+			if opts.ForceSingleDatagram && (res.BatchFillMeanIn > 1 || res.BatchFillMeanOut > 1) {
+				t.Errorf("single-datagram path batched: fill %.2f in / %.2f out", res.BatchFillMeanIn, res.BatchFillMeanOut)
+			}
+		})
+	}
+}
+
 // TestFleetSnapshotAggregation pins Total == Σ Shards for cumulative
 // and gauge fields under live traffic.
 func TestFleetSnapshotAggregation(t *testing.T) {

@@ -7,12 +7,11 @@ package fleet
 // measure and pin the per-packet cost of exactly the code the event
 // loop runs: BenchmarkShardHotPath reports ns and allocs per op,
 // TestShardHotPathZeroAlloc asserts the steady state allocates
-// nothing, and cmd/probebench snapshots both so -compare gates any
-// regression.
+// nothing, and the benchmark of record's hot-* workloads (bench/) time
+// Step from outside.
 
 import (
 	"errors"
-	"fmt"
 	"net/netip"
 	"time"
 
@@ -35,12 +34,12 @@ type HotPathOptions struct {
 	// fallback instead of the batch path.
 	ForceSingleDatagram bool
 	// DisableTelemetry turns histograms and the flight recorder off —
-	// the baseline probebench's observability section measures the
+	// the baseline the benchmark's fleet.telemetry_ns row measures the
 	// default (telemetry-on) path against.
 	DisableTelemetry bool
 	// Auth enables frame authentication (wire v2) with a fixed harness
 	// master key: every probe and reply is CMAC-signed and verified.
-	// probebench's auth section measures its ns/packet cost, and the
+	// The hot-auth workload measures its ns/packet cost, and the
 	// zero-alloc gate pins that signing and verifying stay off the heap.
 	Auth bool
 }
@@ -286,20 +285,3 @@ type ringTimeoutError struct{}
 func (ringTimeoutError) Error() string   { return "fleet: hot-path ring empty" }
 func (ringTimeoutError) Timeout() bool   { return true }
 func (ringTimeoutError) Temporary() bool { return true }
-
-// HotPathStats is what MeasureShardHotPath (cmd/probebench) records in
-// the benchmark snapshot.
-type HotPathStats struct {
-	CPs           int     `json:"control_points"`
-	NsPerOp       int64   `json:"ns_per_op"`
-	AllocsPerOp   int64   `json:"allocs_per_op"`
-	BytesPerOp    int64   `json:"bytes_per_op"`
-	PacketsPerOp  int     `json:"packets_per_op"`
-	PacketsPerSec float64 `json:"packets_per_sec"`
-}
-
-// String renders the stats one line for reports.
-func (s HotPathStats) String() string {
-	return fmt.Sprintf("%d CPs: %d ns/op, %d allocs/op, %d packets/op, %.0f packets/s",
-		s.CPs, s.NsPerOp, s.AllocsPerOp, s.PacketsPerOp, s.PacketsPerSec)
-}

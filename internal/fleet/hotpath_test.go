@@ -119,8 +119,7 @@ func TestShardHotPathZeroAllocAuth(t *testing.T) {
 }
 
 // BenchmarkShardHotPath measures the per-packet cost of the shard's
-// batched hot path; probebench snapshots the same numbers (via
-// testing.Benchmark) and -compare gates allocs/op strictly.
+// batched hot path; the allocation gate is TestShardHotPathZeroAlloc.
 func BenchmarkShardHotPath(b *testing.B) {
 	h, err := NewHotPathBench(HotPathOptions{CPs: 64})
 	if err != nil {

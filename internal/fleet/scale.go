@@ -59,10 +59,9 @@ type ScaleOptions struct {
 	Batch int
 	// Transport, when non-nil, carries both fleets instead of kernel
 	// UDP loopback: every shard of the device fleet and then the CP
-	// fleet calls Listen on it in turn. probebench uses an
-	// internal/memnet network here to measure the event loop's own
-	// per-packet overhead with the kernel's per-datagram loopback cost
-	// out of the picture.
+	// fleet calls Listen on it in turn. An internal/memnet network here
+	// measures the event loop's own per-packet overhead with the
+	// kernel's per-datagram loopback cost out of the picture.
 	Transport Transport
 	// ReusePort runs the CP fleet on the SO_REUSEPORT layout
 	// (Config.ReusePort): shard sockets share one port, the kernel
@@ -71,12 +70,6 @@ type ScaleOptions struct {
 	// ports with routing still on, so the measured path is identical
 	// minus the strays.
 	ReusePort bool
-	// GoMaxProcs pins runtime.GOMAXPROCS for the duration of the run
-	// (restored afterwards). Zero leaves the ambient value. The scaling
-	// study sweeps this against Shards: shard loops beyond GOMAXPROCS
-	// time-share cores, so packets/s should plateau at min(shards,
-	// procs) on hardware with that many cores.
-	GoMaxProcs int
 }
 
 func (o *ScaleOptions) applyDefaults() {
@@ -190,9 +183,6 @@ type ScaleResult struct {
 	ReusePortActive bool `json:"reuseport_active,omitempty"`
 	// GoMaxProcs is runtime.GOMAXPROCS during the run.
 	GoMaxProcs int `json:"gomaxprocs"`
-	// Transport labels the run's transport for reports ("udp" kernel
-	// loopback, "memnet" in-memory). Informational; set by the caller.
-	Transport string `json:"transport,omitempty"`
 	// Goroutines is the process count right after steady state: the CP
 	// fleet's shard loops, the device fleet's, and the harness itself.
 	Goroutines int `json:"goroutines"`
@@ -255,10 +245,6 @@ type ScaleResult struct {
 // everything down.
 func LoopbackScale(opts ScaleOptions) (ScaleResult, error) {
 	opts.applyDefaults()
-	if opts.GoMaxProcs > 0 {
-		prev := runtime.GOMAXPROCS(opts.GoMaxProcs)
-		defer runtime.GOMAXPROCS(prev)
-	}
 	res := ScaleResult{
 		CPs:            opts.CPs,
 		Shards:         opts.Shards,

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The live smokes CI runs, one name each: the CLIs built once and driven
 # the way an operator would — probefleet daemons scraped and
-# administered with curl, probebench sections gated against the
-# committed baseline. Unit and battery tests are not here: `go test
-# ./...` and `go test -race ./...` (the test and race jobs) run them.
+# administered with curl, probesim and probebench reproducing artefacts.
+# Unit and battery tests are not here: `go test ./...` and `go test
+# -race ./...` (the test and race jobs) run them, the conformance and
+# adversarial batteries and the loopback scale paths included.
 #
 #   bash scripts/smoke.sh <name>     # one of the names in the case below
 #   bash scripts/smoke.sh all
@@ -27,8 +28,6 @@ trap cleanup EXIT
 
 go build -o "$tmp/" ./cmd/probesim ./cmd/probebench ./cmd/probefleet
 probesim="$tmp/probesim" probebench="$tmp/probebench" probefleet="$tmp/probefleet"
-baseline=BENCH_9.json
-gate=(-compare -compare-max-alloc-growth 0.10 -compare-max-slowdown 3.0)
 
 # start_daemon LOG ARGS...: probefleet in the background, output to LOG.
 start_daemon() {
@@ -67,19 +66,6 @@ scenario() {
   "$probebench" -scale short -only ext-churn-models -out ''
 }
 
-conformance() {
-  # Conformance section via the CLI (bursty Gilbert-Elliott case).
-  "$probebench" -scale short -only ext-naive-load -out '' -conformance -conformance-scenario conf-bursty-loss
-}
-
-adversarial() {
-  # The full battery (hardened + unhardened adv-*, authenticated +
-  # unauthenticated adv-auth-*); the run itself gates hardened and
-  # authenticated false verdicts, -compare re-checks the section.
-  "$probebench" -scale short -only ext-naive-load -out '' -json -jsonpath "$tmp/BENCH_adv.json" -adversarial
-  "$probebench" "${gate[@]}" "$baseline" "$tmp/BENCH_adv.json"
-}
-
 auth() {
   # An authenticated daemon from a keyfile, its master key rotated live
   # over SIGHUP: verified frames, zero rejections, both sides of it.
@@ -102,11 +88,9 @@ auth() {
 fleet-scale() {
   # 2k CPs on shared sockets with batched I/O; then -single, the
   # portable one-datagram-per-call fallback, so this leg passes without
-  # the Linux recvmmsg/sendmmsg binding too; then the fleet section of
-  # the benchmark snapshot with a mini sweep.
+  # the Linux recvmmsg/sendmmsg binding too.
   "$probefleet" -cps 2000 -loopback 4 -duration 5s -interval 1s
   "$probefleet" -cps 2000 -loopback 2 -rate 4 -single -duration 5s -interval 1s
-  "$probebench" -scale short -only ext-naive-load -out '' -fleet -fleet-cps 2000 -fleet-devices 4 -fleet-window 2s -fleet-sweep '1x1000x4,1x1000x4s'
 }
 
 observability() {
@@ -150,14 +134,11 @@ admin() {
 }
 
 multicore() {
-  # Two shards on one UDP port (SO_REUSEPORT), then a miniature of the
-  # EXPERIMENTS.md scaling study: 1 vs 2 shards on the shared-port
-  # layout, gated on health (all CPs steady, no decode errors).
+  # Two shards on one UDP port (SO_REUSEPORT).
   "$probefleet" -cps 2000 -shards 2 -reuseport -rate 4 -loopback 2 -duration 5s -interval 1s
-  "$probebench" -scale short -only ext-naive-load -out '' -fleet-window 2s -fleet-scaling '1-2x1000x10r'
 }
 
-names=(scenario conformance adversarial auth fleet-scale observability admin multicore)
+names=(scenario auth fleet-scale observability admin multicore)
 if [ "${1:-}" = all ]; then
   for n in "${names[@]}"; do
     echo "== smoke: $n"
