@@ -20,8 +20,8 @@ import (
 	"presence/internal/core/dcpp"
 	"presence/internal/core/naive"
 	"presence/internal/core/sapp"
+	"presence/internal/fleet"
 	"presence/internal/ident"
-	"presence/internal/rtnet"
 )
 
 // printer logs presence events with wall-clock timestamps.
@@ -105,7 +105,15 @@ func run(args []string) error {
 		return err
 	}
 	lst := &printer{start: time.Now(), lost: make(chan struct{}, 1), verbose: *verbose}
-	cp, err := rtnet.NewControlPoint(rtnet.ControlPointConfig{
+	f, err := fleet.New(fleet.Config{Shards: 1, ListenAddr: ":0"})
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := f.Start(); err != nil {
+		return err
+	}
+	cp, err := f.AddControlPoint(fleet.CPConfig{
 		ID:         ident.NodeID(uint32(*id)),
 		Device:     ident.NodeID(uint32(*deviceID)),
 		DeviceAddr: *device,
@@ -113,10 +121,6 @@ func run(args []string) error {
 		Listener:   lst,
 	})
 	if err != nil {
-		return err
-	}
-	defer cp.Close()
-	if err := cp.Start(); err != nil {
 		return err
 	}
 	fmt.Printf("probecp: monitoring device %d at %s via %s\n", *deviceID, *device, *protocol)
@@ -128,11 +132,11 @@ func run(args []string) error {
 		case <-sig:
 			signal.Stop(sig) // a second Ctrl-C kills us the ordinary way
 			fmt.Println("probecp: shutting down")
-			return finalDump(cp)
+			return finalDump(f, cp)
 		case <-lst.lost:
 			if !*restart {
 				fmt.Println("probecp: stopping after loss")
-				return finalDump(cp)
+				return finalDump(f, cp)
 			}
 			fmt.Println("probecp: restarting monitor")
 			time.Sleep(time.Second)
@@ -143,15 +147,13 @@ func run(args []string) error {
 	}
 }
 
-// finalDump closes the control point cleanly (stopping the prober and
-// the read loop) and prints the final cycle and wire counters.
-func finalDump(cp *rtnet.ControlPoint) error {
-	err := cp.Close()
-	st := cp.Stats()
-	c := cp.Counters()
+// finalDump prints the final cycle and wire counters, then closes the
+// fleet (stopping the prober and the shard loop).
+func finalDump(f *fleet.Fleet, cp *fleet.ControlPoint) error {
+	st, c := cp.Stats(), f.Snapshot().Total
 	fmt.Printf("probecp: %d cycles ok, %d failed, %d probes, %d retransmits, %d stale replies\n",
 		st.CyclesOK, st.CyclesFailed, st.ProbesSent, st.Retransmits, st.StaleReplies)
 	fmt.Printf("probecp: %d packets in, %d out; %d decode errors, %d send errors\n",
 		c.PacketsIn, c.PacketsOut, c.DecodeErrors, c.SendErrors)
-	return err
+	return f.Close()
 }

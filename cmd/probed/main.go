@@ -15,14 +15,13 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"presence/internal/core"
 	"presence/internal/core/dcpp"
 	"presence/internal/core/naive"
 	"presence/internal/core/sapp"
+	"presence/internal/fleet"
 	"presence/internal/ident"
-	"presence/internal/rtnet"
 )
 
 func main() {
@@ -45,7 +44,7 @@ func run(args []string) error {
 		return err
 	}
 	devID := ident.NodeID(id64(*id))
-	var build rtnet.DeviceBuilder
+	var build fleet.DeviceBuilder
 	switch *protocol {
 	case "dcpp":
 		cfg := dcpp.DefaultDeviceConfig()
@@ -60,27 +59,30 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown protocol %q", *protocol)
 	}
-	srv, err := rtnet.NewDeviceServer(rtnet.DeviceServerConfig{ID: devID, ListenAddr: *listen}, build)
+	f, err := fleet.New(fleet.Config{Shards: 1, ListenAddr: *listen})
 	if err != nil {
 		return err
 	}
-	if err := srv.Start(); err != nil {
+	defer f.Close()
+	if err := f.Start(); err != nil {
 		return err
 	}
-	fmt.Printf("probed: %s device %v listening on %s\n", *protocol, devID, srv.Addr())
+	dev, err := f.AddDevice(devID, build)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("probed: %s device %v listening on %s\n", *protocol, devID, dev.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	signal.Stop(sig) // a second Ctrl-C kills us the ordinary way
 	fmt.Println("probed: announcing bye and shutting down")
-	srv.Bye()
-	// Give byes a moment on the wire before the socket closes.
-	time.Sleep(100 * time.Millisecond)
-	err = srv.Close()
-	c := srv.Counters()
+	dev.Bye() // written to the socket before it returns
+	peers, c := dev.Peers(), f.Snapshot().Total
+	err = f.Close()
 	fmt.Printf("probed: served %d peers; %d packets in, %d out; %d decode errors, %d send errors\n",
-		srv.Peers(), c.PacketsIn, c.PacketsOut, c.DecodeErrors, c.SendErrors)
+		peers, c.PacketsIn, c.PacketsOut, c.DecodeErrors, c.SendErrors)
 	return err
 }
 

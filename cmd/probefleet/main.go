@@ -85,7 +85,6 @@ import (
 	"presence/internal/fleet"
 	"presence/internal/ident"
 	"presence/internal/obs"
-	"presence/internal/rtnet"
 )
 
 func main() {
@@ -238,7 +237,7 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		if o.deviceID == 0 || uint64(o.deviceID) > uint64(^uint32(0)) {
 			return fmt.Errorf("-device-id %d out of range", o.deviceID)
 		}
-		addr, err := rtnet.ResolveUDPAddrPort(o.device)
+		addr, err := fleet.ResolveUDPAddrPort(o.device)
 		if err != nil {
 			return err
 		}

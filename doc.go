@@ -13,11 +13,12 @@
 //   - a deterministic discrete-event simulation runtime with the paper's
 //     network model, churn scenarios and measurements, replacing the
 //     MODEST/MÖBIUS tool chain the authors used;
-//   - a real-network UDP runtime that runs the exact same engine code on
-//     sockets and the wall clock;
-//   - a fleet runtime (internal/fleet) that hosts tens of thousands of
-//     those engines in one process for production-scale monitoring
-//     aggregation points;
+//   - one real-network runtime (internal/fleet) that runs the exact
+//     same engine code on UDP sockets and the wall clock: a 1-shard
+//     fleet is a single device or control point (cmd/probed,
+//     cmd/probecp), and the same runtime hosts tens of thousands of
+//     engines in one process for production-scale monitoring
+//     aggregation points (cmd/probefleet);
 //   - a declarative scenario engine (internal/scenario): a Spec names a
 //     protocol, a population model (static, mass leave, uniform churn,
 //     flash crowd, Markov on/off sessions, heavy-tailed lifetimes,
@@ -62,11 +63,12 @@
 //
 // # Fleet runtime
 //
-// internal/rtnet spends one UDP socket, one reader goroutine and one
-// time.Timer per node — right for a phone monitoring one device,
-// hopeless for an aggregation point monitoring a building. The fleet
-// runtime (internal/fleet, cmd/probefleet) re-hosts the same engines on
-// a fixed budget:
+// internal/fleet is the only real-network runtime. A device daemon
+// (cmd/probed) and a lone control point (cmd/probecp) are each a
+// 1-shard fleet hosting one engine; an aggregation point monitoring a
+// building (cmd/probefleet) is the same code with more shards and
+// engines. It spends sockets, goroutines and timers per shard, not per
+// node, so the budget stays fixed as engines are added:
 //
 //   - N shards (default GOMAXPROCS), each owning one UDP socket and one
 //     event-loop goroutine; control points fan in to shards by NodeID
@@ -204,11 +206,19 @@
 //
 // # Quick start (real network)
 //
-//	dev, err := presence.NewUDPDCPPDevice(presence.UDPDeviceConfig{
-//		ID: 1, ListenAddr: "127.0.0.1:0",
-//	}, presence.DefaultDCPPDeviceConfig())
+// Each side runs in a 1-shard fleet of its own, as cmd/probed and
+// cmd/probecp do; closing the device's fleet is a silent crash.
+//
+//	devices, err := presence.NewFleet(presence.FleetConfig{Shards: 1})
+//	if err != nil { ... }
+//	devices.Start()
+//	dev, err := devices.AddDevice(1,
+//		presence.NewDCPPDeviceBuilder(1, presence.DefaultDCPPDeviceConfig()))
 //	...
-//	cp, err := presence.NewUDPDCPPControlPoint(presence.UDPControlPointConfig{
+//	cps, err := presence.NewFleet(presence.FleetConfig{Shards: 1})
+//	...
+//	cps.Start()
+//	cp, err := presence.NewFleetDCPPControlPoint(cps, presence.FleetCPConfig{
 //		ID: 2, Device: 1, DeviceAddr: dev.Addr().String(),
 //	}, presence.DCPPPolicyConfig{}, listener)
 package presence

@@ -1,9 +1,10 @@
 // udp-live runs the protocol on real UDP sockets: a DCPP device and
-// three control points on the loopback interface. After a second of
-// monitoring, the device is killed silently (no bye) and the example
-// measures how long each control point takes to notice — the "are you
-// still there?" question answered on a real network rather than in the
-// simulator.
+// three control points on the loopback interface, the device in a
+// 1-shard fleet of its own and the control points in another. After a
+// second of monitoring, the device's fleet is closed — a silent crash,
+// no bye — and the example measures how long each control point takes
+// to notice: the "are you still there?" question answered on a real
+// network rather than in the simulator.
 //
 // Timeouts are scaled up from the paper's LAN values so the demo is
 // robust on loaded machines; the structure (TOF > TOS, 3 retransmits)
@@ -49,14 +50,9 @@ func main() {
 	devCfg := presence.DefaultDCPPDeviceConfig()
 	devCfg.MinGap = 25 * time.Millisecond     // L_nom = 40 probes/s
 	devCfg.MinCPDelay = 80 * time.Millisecond // f_max = 12.5 probes/s per CP
-	dev, err := presence.NewUDPDCPPDevice(presence.UDPDeviceConfig{
-		ID:         1,
-		ListenAddr: "127.0.0.1:0",
-	}, devCfg)
+	devFleet := startedFleet()
+	dev, err := devFleet.AddDevice(1, presence.NewDCPPDeviceBuilder(1, devCfg))
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := dev.Start(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("device 1 (DCPP) listening on %s\n", dev.Addr())
@@ -66,24 +62,19 @@ func main() {
 		RetryTimeout:   60 * time.Millisecond,
 		MaxRetransmits: 3,
 	}
+	cpFleet := startedFleet()
+	defer cpFleet.Close()
 	watchers := make([]*watcher, 3)
-	cps := make([]*presence.UDPControlPoint, 3)
-	for i := range cps {
+	for i := range watchers {
 		watchers[i] = &watcher{name: fmt.Sprintf("cp%d", i+2)}
-		cp, err := presence.NewUDPDCPPControlPoint(presence.UDPControlPointConfig{
+		if _, err := presence.NewFleetDCPPControlPoint(cpFleet, presence.FleetCPConfig{
 			ID:         presence.NodeID(i + 2),
 			Device:     1,
 			DeviceAddr: dev.Addr().String(),
 			Retransmit: retransmit,
-		}, presence.DCPPPolicyConfig{}, watchers[i])
-		if err != nil {
+		}, presence.DCPPPolicyConfig{}, watchers[i]); err != nil {
 			log.Fatal(err)
 		}
-		if err := cp.Start(); err != nil {
-			log.Fatal(err)
-		}
-		cps[i] = cp
-		defer cp.Close()
 	}
 
 	fmt.Println("monitoring for 1 second ...")
@@ -96,7 +87,7 @@ func main() {
 
 	fmt.Println("killing the device silently (no bye) ...")
 	killed := time.Now()
-	if err := dev.Close(); err != nil {
+	if err := devFleet.Close(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -128,4 +119,17 @@ func main() {
 		}
 		w.mu.Unlock()
 	}
+}
+
+// startedFleet is a started 1-shard fleet: one UDP socket, one event
+// loop.
+func startedFleet() *presence.Fleet {
+	f, err := presence.NewFleet(presence.FleetConfig{Shards: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Start(); err != nil {
+		log.Fatal(err)
+	}
+	return f
 }

@@ -5,7 +5,7 @@
 //
 // Engines are pure, single-threaded state machines driven through the Env
 // interface. The same engine code runs under the discrete-event simulator
-// (internal/simrun) and on real UDP sockets (internal/rtnet).
+// (internal/simrun) and on real UDP sockets (internal/fleet).
 package core
 
 import (

@@ -1,12 +1,13 @@
-// Package fleet is a production-style presence server: it hosts tens of
-// thousands of protocol engines (DCPP/SAPP/naive control points, and
-// optionally device engines for loopback testing) inside one process on
-// a small fixed resource budget.
+// Package fleet is the repository's real-network runtime: it hosts
+// protocol engines (DCPP/SAPP/naive control points and device engines)
+// on UDP sockets and the wall clock. One shard hosting one node is a
+// device daemon (cmd/probed) or a single control point (cmd/probecp);
+// the same code hosts tens of thousands of engines inside one process
+// on a small fixed resource budget (cmd/probefleet).
 //
-// Where internal/rtnet spends one UDP socket, one reader goroutine and
-// one time.Timer per node — right for a phone monitoring one device,
-// hopeless for a monitoring aggregation point — the fleet spends them
-// per *shard*:
+// A UDP socket, a reader goroutine and a timer per node would be right
+// for a phone monitoring one device and hopeless for a monitoring
+// aggregation point, so the fleet spends them per *shard*:
 //
 //   - N shards (default GOMAXPROCS), each owning exactly one UDP socket
 //     and one event-loop goroutine that both reads the socket and runs
@@ -63,8 +64,8 @@
 //   - Probes (From = CP): delivered to the shard's hosted device. Since
 //     a probe names only its sender, a shard socket can host at most
 //     one device engine; AddDevice places devices on free shards and
-//     errors when all are taken. Devices are a loopback-testing
-//     convenience — CPs are the scale story.
+//     errors when all are taken. A device daemon (cmd/probed) is a
+//     1-shard fleet hosting one; CPs are the scale story.
 //
 // # Multi-core receive scaling: SO_REUSEPORT and cross-shard handoff
 //
@@ -215,7 +216,6 @@ import (
 
 	"presence/internal/core"
 	"presence/internal/ident"
-	"presence/internal/rtnet"
 	"presence/internal/trace"
 	"presence/internal/wire"
 )
@@ -1308,6 +1308,7 @@ func (s *shard) flushSends() {
 	s.sendQ = s.sendQ[:0]
 }
 
-// DeviceBuilder constructs a device engine against the fleet's Env —
-// the same builder signature the single-node runtime uses.
-type DeviceBuilder = rtnet.DeviceBuilder
+// DeviceBuilder constructs a device engine against the Env the fleet
+// hosts it in. It is how the fleet stays protocol-agnostic: wrap
+// sapp.NewDevice, dcpp.NewDevice or naive.NewDevice in one.
+type DeviceBuilder func(env core.Env) (core.Device, error)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -261,6 +262,57 @@ func TestFleetCrashDetection(t *testing.T) {
 	st := cp.Stats()
 	if st.CyclesFailed != 1 || st.Retransmits < 3 {
 		t.Fatalf("stats after crash = %+v", st)
+	}
+}
+
+// TestFleetDeviceRestartSamePort is the crash → restart sequence of a
+// device daemon (cmd/probed killed and started again on its port): the
+// device's fleet closes silently, a new 1-shard fleet hosts the same
+// device id on the same address, and the control point, restarted after
+// its loss verdict, must hear from it again. A control point that stops
+// reading after the kernel reports the dead port never would.
+func TestFleetDeviceRestartSamePort(t *testing.T) {
+	devFleet := startedFleet(t, Config{Shards: 1})
+	dev := addDCPPDevice(t, devFleet, 1, fastDCPP())
+	addr := dev.Addr().String()
+	lst := &countingListener{}
+	cp := addDCPPCP(t, startedFleet(t, Config{Shards: 1}), 60, 1, addr, lst)
+	waitFor(t, 3*time.Second, "first cycles", func() bool { return cp.Stats().CyclesOK >= 2 })
+	if err := devFleet.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 3*time.Second, "loss detection", cp.Stopped)
+	if _, lost, _ := lst.snapshot(); lost != 1 {
+		t.Fatalf("lost verdicts after the crash = %d, want 1", lost)
+	}
+	addDCPPDevice(t, startedFleet(t, Config{Shards: 1, ListenAddr: addr}), 1, fastDCPP())
+	before := cp.Stats().CyclesOK
+	if err := cp.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 3*time.Second, "cycles against the restarted device", func() bool {
+		return cp.Stats().CyclesOK >= before+2
+	})
+}
+
+// TestFleetGarbageDatagramsIgnored: datagrams that are not frames,
+// thrown at a hosted device's socket, are counted and never answered.
+func TestFleetGarbageDatagramsIgnored(t *testing.T) {
+	f := startedFleet(t, Config{Shards: 1})
+	dev := addDCPPDevice(t, f, 1, fastDCPP())
+	conn, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(dev.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i := 0; i < 10; i++ {
+		if _, err := conn.Write([]byte("definitely not a frame")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 2*time.Second, "decode errors", func() bool { return f.Snapshot().Total.DecodeErrors >= 10 })
+	if c := f.Snapshot().Total; c.PacketsOut != 0 {
+		t.Fatalf("device answered garbage: %+v", c)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"presence/internal/core"
 	"presence/internal/ident"
-	"presence/internal/rtnet"
 	"presence/internal/trace"
 	"presence/internal/wire"
 )
@@ -231,7 +230,7 @@ func (f *Fleet) AddControlPoint(cfg CPConfig) (*ControlPoint, error) {
 	addr := cfg.DeviceAddrPort
 	if !addr.IsValid() {
 		var err error
-		if addr, err = rtnet.ResolveUDPAddrPort(cfg.DeviceAddr); err != nil {
+		if addr, err = ResolveUDPAddrPort(cfg.DeviceAddr); err != nil {
 			return nil, err
 		}
 	}
@@ -415,7 +414,7 @@ type deviceNode struct {
 	shard   *shard
 	id      ident.NodeID
 	engine  core.Device
-	peers   *rtnet.PeerTable
+	peers   *peerTable
 	timer   wheelTimer
 	removed bool
 
@@ -458,10 +457,11 @@ func (n *deviceNode) StopAlarm() { n.shard.wheel.Cancel(&n.timer) }
 // shard, this one already hosts a device engine.
 var errShardOccupied = errors.New("fleet: shard already hosts a device")
 
-// AddDevice hosts a device engine for loopback testing, on the first
-// shard without one. Probes carry only their sender's id, so one shard
-// socket can demultiplex to at most one device engine: a fleet hosts at
-// most Shards devices. The fleet must be started.
+// AddDevice hosts a device engine on the first shard without one; a
+// device daemon (cmd/probed) is a 1-shard fleet hosting exactly one.
+// Probes carry only their sender's id, so one shard socket can
+// demultiplex to at most one device engine: a fleet hosts at most
+// Shards devices. The fleet must be started.
 func (f *Fleet) AddDevice(id ident.NodeID, build DeviceBuilder) (*Device, error) {
 	if !id.Valid() {
 		return nil, errors.New("fleet: device needs a valid id")
@@ -500,7 +500,7 @@ func (f *Fleet) AddDevice(id ident.NodeID, build DeviceBuilder) (*Device, error)
 			nd := &deviceNode{
 				shard: sh,
 				id:    id,
-				peers: rtnet.NewPeerTable(f.cfg.MaxPeersPerDevice),
+				peers: newPeerTable(f.cfg.MaxPeersPerDevice),
 			}
 			// Keep the per-peer key cache in lockstep with the peer table's
 			// LRU bound.

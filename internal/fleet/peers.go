@@ -1,4 +1,4 @@
-package rtnet
+package fleet
 
 import (
 	"net/netip"
@@ -6,15 +6,14 @@ import (
 	"presence/internal/ident"
 )
 
-// PeerTable remembers the UDP source address of each peer that has
+// peerTable remembers the UDP source address of each peer that has
 // contacted a shared socket, so replies and byes can be routed back.
 // Capacity is bounded; when full, the least recently seen peer is
 // evicted ("implementable on small computing devices" implies bounded
-// state). It is the address-routing piece shared by the single-node
-// runtime (DeviceServer) and the multi-tenant fleet runtime
-// (internal/fleet); like the engines themselves it is not safe for
-// concurrent use — owners serialise access under their node mutex.
-type PeerTable struct {
+// state). Every hosted device routes its replies, byes and announces
+// through one; like the engines themselves it is not safe for
+// concurrent use — the device's shard mutex serialises access.
+type peerTable struct {
 	max int
 	seq uint64
 	// peers holds one entry per remembered peer, by pointer: a Note on a
@@ -37,17 +36,17 @@ type peerEntry struct {
 // OnEvict installs fn as the eviction observer: it is called with the
 // id of every peer the LRU bound drops, under the same serialisation
 // as the Note that evicted it. fn must not mutate the table.
-func (t *PeerTable) OnEvict(fn func(ident.NodeID)) { t.onEvict = fn }
+func (t *peerTable) OnEvict(fn func(ident.NodeID)) { t.onEvict = fn }
 
-// NewPeerTable returns a table holding at most max peers (max must be
+// newPeerTable returns a table holding at most max peers (max must be
 // positive).
-func NewPeerTable(max int) *PeerTable {
-	return &PeerTable{max: max, peers: make(map[ident.NodeID]*peerEntry)}
+func newPeerTable(max int) *peerTable {
+	return &peerTable{max: max, peers: make(map[ident.NodeID]*peerEntry)}
 }
 
 // Note records the sender's address, evicting the least recently seen
 // peer when the table is full.
-func (t *PeerTable) Note(id ident.NodeID, addr netip.AddrPort) {
+func (t *peerTable) Note(id ident.NodeID, addr netip.AddrPort) {
 	t.seq++
 	if e := t.peers[id]; e != nil {
 		e.addr, e.seq = addr, t.seq
@@ -70,7 +69,7 @@ func (t *PeerTable) Note(id ident.NodeID, addr netip.AddrPort) {
 }
 
 // Lookup returns the last known address of a peer.
-func (t *PeerTable) Lookup(id ident.NodeID) (netip.AddrPort, bool) {
+func (t *peerTable) Lookup(id ident.NodeID) (netip.AddrPort, bool) {
 	if e := t.peers[id]; e != nil {
 		return e.addr, true
 	}
@@ -78,11 +77,11 @@ func (t *PeerTable) Lookup(id ident.NodeID) (netip.AddrPort, bool) {
 }
 
 // Len returns the number of remembered peers.
-func (t *PeerTable) Len() int { return len(t.peers) }
+func (t *peerTable) Len() int { return len(t.peers) }
 
 // Each calls fn for every remembered peer (iteration order is
 // unspecified; fn must not mutate the table).
-func (t *PeerTable) Each(fn func(id ident.NodeID, addr netip.AddrPort)) {
+func (t *peerTable) Each(fn func(id ident.NodeID, addr netip.AddrPort)) {
 	for id, e := range t.peers {
 		fn(id, e.addr)
 	}

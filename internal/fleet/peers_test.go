@@ -1,4 +1,4 @@
-package rtnet
+package fleet
 
 import (
 	"net/netip"
@@ -12,7 +12,7 @@ func addrN(n uint16) netip.AddrPort {
 }
 
 func TestPeerTableEvictsLeastRecentlySeen(t *testing.T) {
-	pt := NewPeerTable(3)
+	pt := newPeerTable(3)
 	pt.Note(1, addrN(1))
 	pt.Note(2, addrN(2))
 	pt.Note(3, addrN(3))
@@ -35,7 +35,7 @@ func TestPeerTableEvictsLeastRecentlySeen(t *testing.T) {
 }
 
 func TestPeerTableEvictionCallback(t *testing.T) {
-	pt := NewPeerTable(2)
+	pt := newPeerTable(2)
 	var evicted []ident.NodeID
 	pt.OnEvict(func(id ident.NodeID) { evicted = append(evicted, id) })
 	pt.Note(1, addrN(1))
@@ -52,7 +52,7 @@ func TestPeerTableEvictionCallback(t *testing.T) {
 }
 
 func TestPeerTableRefreshDoesNotEvict(t *testing.T) {
-	pt := NewPeerTable(2)
+	pt := newPeerTable(2)
 	pt.Note(1, addrN(1))
 	pt.Note(2, addrN(2))
 	pt.Note(2, addrN(22)) // refresh at capacity must not evict 1
@@ -64,7 +64,7 @@ func TestPeerTableRefreshDoesNotEvict(t *testing.T) {
 // TestPeerTableLRUOrder: evictions follow last-seen order exactly, with
 // refreshes reordering it, and each eviction reaches OnEvict once.
 func TestPeerTableLRUOrder(t *testing.T) {
-	pt := NewPeerTable(4)
+	pt := newPeerTable(4)
 	evictions := map[ident.NodeID]int{}
 	var order []ident.NodeID
 	pt.OnEvict(func(id ident.NodeID) {
@@ -106,7 +106,7 @@ func TestPeerTableLRUOrder(t *testing.T) {
 // TestPeerTableKnownPeerNoteZeroAlloc: every probe after a peer's first
 // refreshes its entry in place.
 func TestPeerTableKnownPeerNoteZeroAlloc(t *testing.T) {
-	pt := NewPeerTable(8)
+	pt := newPeerTable(8)
 	pt.Note(1, addrN(1))
 	a, b := addrN(2), addrN(3)
 	if allocs := testing.AllocsPerRun(100, func() {

@@ -202,3 +202,20 @@ func (c udpPacketConn) LocalAddrPort() netip.AddrPort {
 	ap := c.LocalAddr().(*net.UDPAddr).AddrPort()
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
+
+// ResolveUDPAddrPort resolves an address like "127.0.0.1:9300" (or a
+// hostname) to a netip.AddrPort, the address form the UDP send paths
+// use.
+func ResolveUDPAddrPort(addr string) (netip.AddrPort, error) {
+	ua, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return netip.AddrPort{}, fmt.Errorf("fleet: resolve %q: %w", addr, err)
+	}
+	ap := ua.AddrPort()
+	if !ap.IsValid() {
+		return netip.AddrPort{}, fmt.Errorf("fleet: %q resolves to no usable UDP address", addr)
+	}
+	// Unmap 4-in-6 forms (::ffff:127.0.0.1): plain IPv4 sockets reject
+	// mapped destinations.
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), nil
+}

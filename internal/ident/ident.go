@@ -2,7 +2,7 @@
 // the transport substrates.
 //
 // It is a leaf package: both internal/core (the paper's contribution) and
-// internal/simnet / internal/rtnet (the substrates) need a common node
+// internal/simnet / internal/fleet (the substrates) need a common node
 // address type, and neither may import the other.
 package ident
 

@@ -250,11 +250,3 @@ func (r *Rand) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle permutes items uniformly in place.
-func Shuffle[T any](r *Rand, items []T) {
-	for i := len(items) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		items[i], items[j] = items[j], items[i]
-	}
-}

@@ -283,19 +283,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(16)
-	items := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	Shuffle(r, items)
-	for _, v := range items {
-		sum += v
-	}
-	if sum != 36 {
-		t.Fatalf("Shuffle lost elements: %v", items)
-	}
-}
-
 // Property: Intn never leaves [0, n) and IntBetween never leaves [lo, hi].
 func TestPropertyBounds(t *testing.T) {
 	r := New(17)

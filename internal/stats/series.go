@@ -135,31 +135,3 @@ func (s *TimeSeries) WriteDAT(w io.Writer) error {
 	}
 	return nil
 }
-
-// WriteMultiDAT writes several series sharing no common time base as
-// repeated (t, v) column pairs padded per row, in the gnuplot "index"
-// style: one block per series separated by two blank lines, each with a
-// "# name" header. Grep-friendly and directly plottable with
-// `plot for [i=0:N] 'f.dat' index i`.
-func WriteMultiDAT(w io.Writer, series ...*TimeSeries) error {
-	bw := bufio.NewWriter(w)
-	for i, s := range series {
-		if i > 0 {
-			if _, err := fmt.Fprint(bw, "\n\n"); err != nil {
-				return fmt.Errorf("stats: write separator: %w", err)
-			}
-		}
-		if _, err := fmt.Fprintf(bw, "# %s\n", s.name); err != nil {
-			return fmt.Errorf("stats: write header: %w", err)
-		}
-		for _, p := range s.points {
-			if _, err := fmt.Fprintf(bw, "%.6f %.6g\n", p.T.Seconds(), p.V); err != nil {
-				return fmt.Errorf("stats: write point: %w", err)
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("stats: flush: %w", err)
-	}
-	return nil
-}

@@ -272,61 +272,6 @@ func TestTimeSeriesWriteDAT(t *testing.T) {
 	}
 }
 
-func TestWriteMultiDAT(t *testing.T) {
-	a := NewTimeSeries("a")
-	a.Add(sec(1), 1)
-	b := NewTimeSeries("b")
-	b.Add(sec(2), 2)
-	var buf strings.Builder
-	if err := WriteMultiDAT(&buf, a, b); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "# a\n") || !strings.Contains(out, "# b\n") {
-		t.Fatalf("missing block headers: %q", out)
-	}
-	if !strings.Contains(out, "\n\n\n# b") {
-		t.Fatalf("blocks not separated by blank lines: %q", out)
-	}
-}
-
-func TestHistogramBinning(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(-1)   // underflow
-	h.Add(0)    // bin 0
-	h.Add(5)    // bin 5
-	h.Add(9.99) // bin 9
-	h.Add(10)   // overflow
-	h.Add(42)   // overflow
-	if h.Count() != 6 {
-		t.Fatalf("Count = %d, want 6", h.Count())
-	}
-	if h.Underflow() != 1 || h.Overflow() != 2 {
-		t.Fatalf("under/over = %d/%d, want 1/2", h.Underflow(), h.Overflow())
-	}
-	for i, want := range map[int]uint64{0: 1, 5: 1, 9: 1} {
-		if h.Bin(i) != want {
-			t.Fatalf("bin %d = %d, want %d", i, h.Bin(i), want)
-		}
-	}
-	lo, hi := h.BinBounds(5)
-	if lo != 5 || hi != 6 {
-		t.Fatalf("BinBounds(5) = [%g,%g), want [5,6)", lo, hi)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(5, 5, 10); err == nil {
-		t.Error("empty range accepted")
-	}
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-}
-
 func TestQuantiles(t *testing.T) {
 	data := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5, 10}
 	qs, err := Quantiles(data, 0.1, 0.5, 1.0)

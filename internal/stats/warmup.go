@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // Warmup (initial-transient) detection for steady-state output
 // analysis. The paper's batch-means estimates presuppose that the
 // initial transient has been discarded; MSER gives a principled,
@@ -44,13 +42,6 @@ func MSER(values []float64) int {
 	return best
 }
 
-// MSER5 applies MSER to non-overlapping batches of five observations
-// (the standard "MSER-5" variant, which smooths oscillatory series) and
-// returns the truncation index in raw observations.
-func MSER5(values []float64) int {
-	return MSERBatched(values, 5)
-}
-
 // MSERBatched applies MSER to non-overlapping batch means of size m and
 // returns the truncation index scaled back to raw observations. m < 2
 // falls back to plain MSER.
@@ -71,64 +62,4 @@ func MSERBatched(values []float64, m int) int {
 		batches[i] = sum / float64(m)
 	}
 	return MSER(batches) * m
-}
-
-// MovingAverage returns the centred moving average of the series with
-// the given half-window w (Welch's plot); endpoints use the available
-// shorter windows, as in Welch's original procedure.
-func MovingAverage(values []float64, w int) []float64 {
-	n := len(values)
-	if w < 0 {
-		w = 0
-	}
-	out := make([]float64, n)
-	for i := range values {
-		half := w
-		if i < half {
-			half = i
-		}
-		if n-1-i < half {
-			half = n - 1 - i
-		}
-		var sum float64
-		for j := i - half; j <= i+half; j++ {
-			sum += values[j]
-		}
-		out[i] = sum / float64(2*half+1)
-	}
-	return out
-}
-
-// Autocorrelation returns the sample autocorrelation of the series at
-// the given lags (biased estimator, the standard choice for output
-// analysis). Lag 0 yields 1 by definition. Invalid lags (negative or
-// ≥ n) yield NaN entries.
-func Autocorrelation(values []float64, lags ...int) []float64 {
-	n := len(values)
-	out := make([]float64, len(lags))
-	var w Welford
-	for _, v := range values {
-		w.Add(v)
-	}
-	mean := w.Mean()
-	var c0 float64
-	for _, v := range values {
-		d := v - mean
-		c0 += d * d
-	}
-	for i, lag := range lags {
-		switch {
-		case lag < 0 || lag >= n || c0 == 0:
-			out[i] = math.NaN()
-		case lag == 0:
-			out[i] = 1
-		default:
-			var ck float64
-			for j := 0; j+lag < n; j++ {
-				ck += (values[j] - mean) * (values[j+lag] - mean)
-			}
-			out[i] = ck / c0
-		}
-	}
-	return out
 }

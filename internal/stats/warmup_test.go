@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // transient builds a series with a decaying ramp followed by
 // deterministic pseudo-noise around a steady mean.
@@ -57,17 +54,6 @@ func TestMSERHalfSampleGuard(t *testing.T) {
 	}
 }
 
-func TestMSER5MatchesScale(t *testing.T) {
-	series := transient(100, 1000, 50, 10)
-	d := MSER5(series)
-	if d%5 != 0 {
-		t.Fatalf("MSER-5 truncation %d not a multiple of the batch size", d)
-	}
-	if d < 50 || d > 250 {
-		t.Fatalf("MSER-5 truncation = %d, want near 100", d)
-	}
-}
-
 func TestMSERBatchedFallsBack(t *testing.T) {
 	series := transient(10, 30, 50, 10)
 	if got, want := MSERBatched(series, 1), MSER(series); got != want {
@@ -77,77 +63,5 @@ func TestMSERBatchedFallsBack(t *testing.T) {
 	short := transient(4, 12, 50, 10)
 	if got, want := MSERBatched(short, 5), MSER(short); got != want {
 		t.Fatalf("few-batch fallback: %d != %d", got, want)
-	}
-}
-
-func TestMovingAverageSmooths(t *testing.T) {
-	series := []float64{0, 10, 0, 10, 0, 10, 0, 10}
-	sm := MovingAverage(series, 1)
-	if len(sm) != len(series) {
-		t.Fatalf("length changed: %d", len(sm))
-	}
-	// Interior points average to ~(0+10+0)/3 or (10+0+10)/3.
-	for i := 1; i < len(sm)-1; i++ {
-		if sm[i] < 3 || sm[i] > 7 {
-			t.Fatalf("sm[%d] = %g, want smoothed towards 5", i, sm[i])
-		}
-	}
-	// Endpoints use shorter windows and remain finite.
-	if math.IsNaN(sm[0]) || math.IsNaN(sm[len(sm)-1]) {
-		t.Fatal("endpoint NaN")
-	}
-}
-
-func TestMovingAverageZeroWindowIdentity(t *testing.T) {
-	series := []float64{3, 1, 4, 1, 5}
-	sm := MovingAverage(series, 0)
-	for i := range series {
-		if sm[i] != series[i] {
-			t.Fatalf("w=0 must be identity, sm[%d]=%g", i, sm[i])
-		}
-	}
-	if out := MovingAverage(series, -3); out[2] != series[2] {
-		t.Fatal("negative window must clamp to identity")
-	}
-}
-
-func TestAutocorrelationWhiteNoise(t *testing.T) {
-	series := transient(0, 5000, 10, 10) // stationary pseudo-noise
-	acf := Autocorrelation(series, 0, 1, 5)
-	if acf[0] != 1 {
-		t.Fatalf("lag-0 autocorrelation = %g, want 1", acf[0])
-	}
-	if math.Abs(acf[1]) > 0.05 || math.Abs(acf[2]) > 0.05 {
-		t.Fatalf("white-noise ACF = %v, want ≈0 beyond lag 0", acf)
-	}
-}
-
-func TestAutocorrelationPeriodicSignal(t *testing.T) {
-	series := make([]float64, 1000)
-	for i := range series {
-		if i%2 == 0 {
-			series[i] = 1
-		} else {
-			series[i] = -1
-		}
-	}
-	acf := Autocorrelation(series, 1, 2)
-	if acf[0] > -0.9 {
-		t.Fatalf("alternating series lag-1 ACF = %g, want ≈-1", acf[0])
-	}
-	if acf[1] < 0.9 {
-		t.Fatalf("alternating series lag-2 ACF = %g, want ≈1", acf[1])
-	}
-}
-
-func TestAutocorrelationInvalidLags(t *testing.T) {
-	series := []float64{1, 2, 3}
-	acf := Autocorrelation(series, -1, 3)
-	if !math.IsNaN(acf[0]) || !math.IsNaN(acf[1]) {
-		t.Fatalf("invalid lags must be NaN, got %v", acf)
-	}
-	flat := Autocorrelation([]float64{5, 5, 5}, 1)
-	if !math.IsNaN(flat[0]) {
-		t.Fatalf("zero-variance ACF must be NaN, got %v", flat)
 	}
 }

@@ -5,14 +5,12 @@ import (
 	"presence/internal/core"
 	"presence/internal/core/dcpp"
 	"presence/internal/core/discovery"
-	"presence/internal/core/naive"
 	"presence/internal/core/sapp"
 	"presence/internal/experiments"
 	"presence/internal/fleet"
 	"presence/internal/ident"
 	"presence/internal/metrics"
 	"presence/internal/obs"
-	"presence/internal/rtnet"
 	"presence/internal/scenario"
 	"presence/internal/simrun"
 	"presence/internal/stats"
@@ -205,42 +203,11 @@ func RenderPlot(series []*TimeSeries, opts PlotOptions) string {
 	return asciiplot.Render(series, opts)
 }
 
-// UDP runtime (see internal/rtnet for details).
-type (
-	// UDPDeviceConfig configures a UDP device server.
-	UDPDeviceConfig = rtnet.DeviceServerConfig
-	// UDPDevice hosts a device engine on a UDP socket.
-	UDPDevice = rtnet.DeviceServer
-	// UDPControlPointConfig configures a UDP control point.
-	UDPControlPointConfig = rtnet.ControlPointConfig
-	// UDPControlPoint monitors one device over UDP.
-	UDPControlPoint = rtnet.ControlPoint
-)
-
-// NewUDPDCPPDevice runs a DCPP device on a UDP socket.
-func NewUDPDCPPDevice(cfg UDPDeviceConfig, dev DCPPDeviceConfig) (*UDPDevice, error) {
-	return rtnet.NewDeviceServer(cfg, func(env core.Env) (core.Device, error) {
-		return dcpp.NewDevice(cfg.ID, env, dev)
-	})
-}
-
-// NewUDPSAPPDevice runs a SAPP device on a UDP socket.
-func NewUDPSAPPDevice(cfg UDPDeviceConfig, dev SAPPDeviceConfig) (*UDPDevice, error) {
-	return rtnet.NewDeviceServer(cfg, func(env core.Env) (core.Device, error) {
-		return sapp.NewDevice(cfg.ID, env, dev)
-	})
-}
-
-// NewUDPNaiveDevice runs the naive baseline device on a UDP socket.
-func NewUDPNaiveDevice(cfg UDPDeviceConfig) (*UDPDevice, error) {
-	return rtnet.NewDeviceServer(cfg, func(env core.Env) (core.Device, error) {
-		return naive.NewDevice(cfg.ID, env)
-	})
-}
-
-// Fleet runtime (see internal/fleet): a sharded shared-socket presence
-// server hosting hundreds of thousands of control points per process —
-// N shards, each one UDP socket, one event-loop goroutine and one
+// Fleet runtime (see internal/fleet): the real-network runtime. A
+// 1-shard fleet hosting one device or one control point is a single
+// node on a UDP socket (cmd/probed, cmd/probecp, examples/udp-live);
+// the same runtime hosts hundreds of thousands of control points per
+// process — N shards, each one UDP socket, one event-loop goroutine and one
 // hierarchical timer wheel; no per-node goroutines or timers. Shard
 // I/O is batched and allocation-free: on Linux whole bursts move per
 // recvmmsg/sendmmsg syscall, elsewhere (and with
@@ -256,7 +223,7 @@ type (
 	FleetCPConfig = fleet.CPConfig
 	// FleetControlPoint is the handle to a fleet-hosted control point.
 	FleetControlPoint = fleet.ControlPoint
-	// FleetDevice is the handle to a fleet-hosted (loopback) device.
+	// FleetDevice is the handle to a fleet-hosted device.
 	FleetDevice = fleet.Device
 	// FleetCounters tracks one shard's activity.
 	FleetCounters = fleet.Counters
@@ -311,7 +278,7 @@ const (
 func NewFleet(cfg FleetConfig) (*Fleet, error) { return fleet.New(cfg) }
 
 // NewDCPPDeviceBuilder returns a builder for a DCPP device engine,
-// usable with Fleet.AddDevice (and rtnet.NewDeviceServer).
+// usable with Fleet.AddDevice.
 func NewDCPPDeviceBuilder(id NodeID, dev DCPPDeviceConfig) fleet.DeviceBuilder {
 	return func(env core.Env) (core.Device, error) { return dcpp.NewDevice(id, env, dev) }
 }
@@ -382,27 +349,3 @@ type (
 // NewStatusServer builds the status plane for a fleet. Call Start to
 // serve it, or mount Handler on an existing mux.
 func NewStatusServer(cfg StatusConfig) (*StatusServer, error) { return obs.New(cfg) }
-
-// NewUDPDCPPControlPoint monitors a DCPP device over UDP. The listener
-// may be nil.
-func NewUDPDCPPControlPoint(cfg UDPControlPointConfig, policy DCPPPolicyConfig, lst Listener) (*UDPControlPoint, error) {
-	p, err := dcpp.NewPolicy(policy)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Policy = p
-	cfg.Listener = lst
-	return rtnet.NewControlPoint(cfg)
-}
-
-// NewUDPSAPPControlPoint monitors a SAPP device over UDP. The listener
-// may be nil.
-func NewUDPSAPPControlPoint(cfg UDPControlPointConfig, policy SAPPCPConfig, lst Listener) (*UDPControlPoint, error) {
-	p, err := sapp.NewPolicy(policy)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Policy = p
-	cfg.Listener = lst
-	return rtnet.NewControlPoint(cfg)
-}

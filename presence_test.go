@@ -73,31 +73,26 @@ func TestExperimentFacade(t *testing.T) {
 	}
 }
 
+// TestUDPFacadeEndToEnd is the two-daemon shape (cmd/probed,
+// cmd/probecp, examples/udp-live) through the facade: the device and
+// the control point each run in a 1-shard fleet of their own and talk
+// over kernel UDP.
 func TestUDPFacadeEndToEnd(t *testing.T) {
+	devFleet := startedFacadeFleet(t)
 	devCfg := presence.DefaultDCPPDeviceConfig()
 	devCfg.MinGap = 20 * time.Millisecond
 	devCfg.MinCPDelay = 50 * time.Millisecond
-	dev, err := presence.NewUDPDCPPDevice(presence.UDPDeviceConfig{
-		ID: 1, ListenAddr: "127.0.0.1:0",
-	}, devCfg)
+	dev, err := devFleet.AddDevice(1, presence.NewDCPPDeviceBuilder(1, devCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dev.Close()
-	if err := dev.Start(); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := presence.NewUDPDCPPControlPoint(presence.UDPControlPointConfig{
+	cp, err := presence.NewFleetDCPPControlPoint(startedFacadeFleet(t), presence.FleetCPConfig{
 		ID: 2, Device: 1, DeviceAddr: dev.Addr().String(),
 		Retransmit: presence.RetransmitConfig{
 			FirstTimeout: 60 * time.Millisecond, RetryTimeout: 40 * time.Millisecond, MaxRetransmits: 3,
 		},
 	}, presence.DCPPPolicyConfig{}, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
-	if err := cp.Start(); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
@@ -110,29 +105,18 @@ func TestUDPFacadeEndToEnd(t *testing.T) {
 	t.Fatalf("only %d cycles completed over loopback", cp.Stats().CyclesOK)
 }
 
-func TestUDPSAPPAndNaiveDeviceConstructors(t *testing.T) {
-	sappDev, err := presence.NewUDPSAPPDevice(presence.UDPDeviceConfig{
-		ID: 1, ListenAddr: "127.0.0.1:0",
-	}, presence.DefaultSAPPDeviceConfig())
+// startedFacadeFleet is a started 1-shard fleet closed at test end.
+func startedFacadeFleet(t *testing.T) *presence.Fleet {
+	t.Helper()
+	f, err := presence.NewFleet(presence.FleetConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sappDev.Close()
-	naiveDev, err := presence.NewUDPNaiveDevice(presence.UDPDeviceConfig{
-		ID: 2, ListenAddr: "127.0.0.1:0",
-	})
-	if err != nil {
+	t.Cleanup(func() { f.Close() })
+	if err := f.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer naiveDev.Close()
-	cpCfg := presence.DefaultSAPPCPConfig()
-	cp, err := presence.NewUDPSAPPControlPoint(presence.UDPControlPointConfig{
-		ID: 3, Device: 1, DeviceAddr: sappDev.Addr().String(),
-	}, cpCfg, presence.NopListener{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
+	return f
 }
 
 func TestFleetFacade(t *testing.T) {
@@ -217,7 +201,7 @@ func TestFleetFacadeSingleDatagram(t *testing.T) {
 
 // TestFacadeConstructorErrorPaths: every facade constructor must turn
 // an invalid configuration into an error — never a panic, never a
-// half-built node. Table-driven over the fleet, UDP and scenario entry
+// half-built node. Table-driven over the fleet and scenario entry
 // points.
 func TestFacadeConstructorErrorPaths(t *testing.T) {
 	// A started fleet for the NewFleet*ControlPoint rows.
@@ -259,6 +243,14 @@ func TestFacadeConstructorErrorPaths(t *testing.T) {
 			}, presence.DCPPPolicyConfig{}, nil)
 			return err
 		}},
+		// The fleet is the UDP runtime: a device address without a port
+		// must fail to resolve before any socket is touched.
+		{"udp-dcpp-cp/bad-device-addr", func() error {
+			_, err := presence.NewFleetDCPPControlPoint(f, presence.FleetCPConfig{
+				ID: 2, Device: 1, DeviceAddr: "127.0.0.1",
+			}, presence.DCPPPolicyConfig{}, nil)
+			return err
+		}},
 		{"fleet-dcpp-cp/not-started", func() error {
 			_, err := presence.NewFleetDCPPControlPoint(idle, validCP, presence.DCPPPolicyConfig{}, nil)
 			return err
@@ -279,42 +271,29 @@ func TestFacadeConstructorErrorPaths(t *testing.T) {
 			_, err := presence.NewFleet(presence.FleetConfig{Shards: -3})
 			return err
 		}},
-		{"udp-dcpp-device/bad-listen-addr", func() error {
-			_, err := presence.NewUDPDCPPDevice(presence.UDPDeviceConfig{
-				ID: 1, ListenAddr: "no-such-host-xyz:badport",
-			}, presence.DefaultDCPPDeviceConfig())
+		{"fleet/bad-listen-addr", func() error {
+			_, err := presence.NewFleet(presence.FleetConfig{Shards: 1, ListenAddr: "no-such-host-xyz:badport"})
 			return err
 		}},
-		{"udp-dcpp-device/negative-min-gap", func() error {
-			_, err := presence.NewUDPDCPPDevice(presence.UDPDeviceConfig{
-				ID: 1, ListenAddr: "127.0.0.1:0",
-			}, presence.DCPPDeviceConfig{MinGap: -time.Second, MinCPDelay: time.Second})
+		{"fleet-dcpp-device/negative-min-gap", func() error {
+			_, err := f.AddDevice(1, presence.NewDCPPDeviceBuilder(1,
+				presence.DCPPDeviceConfig{MinGap: -time.Second, MinCPDelay: time.Second}))
 			return err
 		}},
-		{"udp-sapp-device/zero-nominal-load", func() error {
+		{"fleet-sapp-device/zero-nominal-load", func() error {
 			cfg := presence.DefaultSAPPDeviceConfig()
 			cfg.NominalLoad = -1
-			_, err := presence.NewUDPSAPPDevice(presence.UDPDeviceConfig{
-				ID: 1, ListenAddr: "127.0.0.1:0",
-			}, cfg)
+			_, err := f.AddDevice(1, presence.NewSAPPDeviceBuilder(1, cfg))
 			return err
 		}},
-		{"udp-naive-device/zero-id", func() error {
-			_, err := presence.NewUDPNaiveDevice(presence.UDPDeviceConfig{ListenAddr: "127.0.0.1:0"})
+		{"fleet-device/zero-id", func() error {
+			_, err := f.AddDevice(0, presence.NewDCPPDeviceBuilder(0, presence.DefaultDCPPDeviceConfig()))
 			return err
 		}},
-		{"udp-dcpp-cp/bad-device-addr", func() error {
-			_, err := presence.NewUDPDCPPControlPoint(presence.UDPControlPointConfig{
-				ID: 2, Device: 1, DeviceAddr: "not-an-address:xx",
-			}, presence.DCPPPolicyConfig{}, nil)
-			return err
-		}},
-		{"udp-sapp-cp/negative-max-wait-analogue", func() error {
+		{"fleet-sapp-cp/zero-beta", func() error {
 			cfg := presence.DefaultSAPPCPConfig()
 			cfg.Beta = 0
-			_, err := presence.NewUDPSAPPControlPoint(presence.UDPControlPointConfig{
-				ID: 2, Device: 1, DeviceAddr: "127.0.0.1:9",
-			}, cfg, nil)
+			_, err := presence.NewFleetSAPPControlPoint(f, validCP, cfg, nil)
 			return err
 		}},
 		{"resolve-scenario/unknown", func() error {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The live smokes CI runs, one name each: the CLIs built once and driven
 # the way an operator would — probefleet daemons scraped and
-# administered with curl, probesim and probebench reproducing artefacts.
+# administered with curl, a probed device crashed and restarted under a
+# probecp monitor, probesim and probebench reproducing artefacts.
 # Unit and battery tests are not here: `go test ./...` and `go test
 # -race ./...` (the test and race jobs) run them, the conformance and
 # adversarial batteries and the loopback scale paths included.
@@ -12,13 +13,13 @@ set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 tmp="$(mktemp -d)"
-daemon=""
+daemon="" client=""
 cleanup() {
   local status=$?
-  if [ -n "$daemon" ]; then
-    kill -TERM "$daemon" 2>/dev/null || true
-    wait "$daemon" 2>/dev/null || true
-  fi
+  for pid in $daemon $client; do
+    kill -TERM "$pid" 2>/dev/null || true
+    wait "$pid" 2>/dev/null || true
+  done
   if [ "$status" -ne 0 ]; then
     cat "$tmp"/*.log 2>/dev/null || true # what the daemon said before the check failed
   fi
@@ -26,8 +27,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
-go build -o "$tmp/" ./cmd/probesim ./cmd/probebench ./cmd/probefleet
+go build -o "$tmp/" ./cmd/probesim ./cmd/probebench ./cmd/probefleet ./cmd/probed ./cmd/probecp
 probesim="$tmp/probesim" probebench="$tmp/probebench" probefleet="$tmp/probefleet"
+probed="$tmp/probed" probecp="$tmp/probecp"
 
 # start_daemon LOG ARGS...: probefleet in the background, output to LOG.
 start_daemon() {
@@ -51,6 +53,16 @@ wait_up() {
     sleep 0.1
   done
   echo "smoke: $1 never came up" >&2
+  return 1
+}
+
+# eventually CMD...: retry CMD every 0.1 s until it succeeds, for up to 15 s.
+eventually() {
+  for _ in $(seq 1 150); do
+    "$@" && return 0
+    sleep 0.1
+  done
+  echo "smoke: timed out waiting for: $*" >&2
   return 1
 }
 
@@ -133,12 +145,44 @@ admin() {
   stop_daemon
 }
 
+daemons() {
+  # A device daemon SIGKILLed and started again on its port while a
+  # probecp -restart monitor keeps running: the monitor declares it
+  # LOST, then hears from the restarted device, then gets its BYE.
+  local addr=127.0.0.1:19411 cplog="$tmp/probecp.log"
+  "$probed" -listen "$addr" >"$tmp/probed-1.log" 2>&1 &
+  daemon=$!
+  eventually grep -q 'listening on' "$tmp/probed-1.log"
+  "$probecp" -device "$addr" -v -restart >"$cplog" 2>&1 &
+  client=$!
+  eventually grep -q ' alive ' "$cplog"
+  kill -KILL "$daemon"
+  wait "$daemon" || true
+  eventually grep -q 'LOST' "$cplog"
+  "$probed" -listen "$addr" >"$tmp/probed-2.log" 2>&1 &
+  daemon=$!
+  eventually awk '/restarting monitor/ { r = 1 } r && / alive / { ok = 1 } END { exit !ok }' "$cplog"
+  kill -TERM "$daemon"
+  wait "$daemon"
+  daemon=""
+  eventually grep -q 'said BYE' "$cplog"
+  kill -INT "$client"
+  wait "$client"
+  client=""
+  grep -q '; 0 decode errors' "$cplog"
+  cat "$cplog"
+  # Three control points notice a silent device crash, each inside the budget.
+  go run ./examples/udp-live | tee "$tmp/udp-live.txt"
+  [ "$(grep -c 'lost after' "$tmp/udp-live.txt")" -eq 3 ]
+  [ "$(grep -c 'not yet detected' "$tmp/udp-live.txt")" -eq 0 ]
+}
+
 multicore() {
   # Two shards on one UDP port (SO_REUSEPORT).
   "$probefleet" -cps 2000 -shards 2 -reuseport -rate 4 -loopback 2 -duration 5s -interval 1s
 }
 
-names=(scenario auth fleet-scale observability admin multicore)
+names=(scenario auth fleet-scale observability admin multicore daemons)
 if [ "${1:-}" = all ]; then
   for n in "${names[@]}"; do
     echo "== smoke: $n"
