@@ -93,11 +93,11 @@
 //     each shard's mutex — the shard's only guard — for one copy; every
 //     counter is one Counters field and one fleet.CounterDefs row
 //     (name, help text), which /metrics, /statusz and the probefleet
-//     dump all read (internal/fleet/counters.go); the loopback
-//     scale harness (fleet.LoopbackScale) measures CPs/process and
-//     probes/s — 10,000 control points reach steady state on
-//     GOMAXPROCS event-loop goroutines with the aggregate probe rate
-//     pinned at DCPP's L_nom budget;
+//     dump all read (internal/fleet/counters.go). The benchmark's
+//     udp-* workloads run 5,000 control points over kernel loopback;
+//     the fleet's scale test holds 1,000 on four event-loop goroutines
+//     at DCPP's aggregate L_nom budget, and its admin scale test adds
+//     and removes 50,000 on a live fleet;
 //   - each shard reads and writes through the fleet.PacketConn seam:
 //     kernel UDP sockets in production, or any custom fleet.Transport —
 //     internal/memnet supplies a deterministic in-memory network with

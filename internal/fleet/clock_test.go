@@ -310,8 +310,7 @@ func TestClockFreshOnExternalEntry(t *testing.T) {
 
 // TestClockSeamIsSingle keeps the wall clock behind one function: no
 // non-test file of this package may call time.Now, time.Since or
-// time.Until except wallClock itself and the two sites listed here,
-// neither of which stamps an event.
+// time.Until except wallClock itself and loop, which stamps no event.
 func TestClockSeamIsSingle(t *testing.T) {
 	allowed := map[string]int{
 		// The reader: one Now for the epoch, one Since per read.
@@ -319,8 +318,6 @@ func TestClockSeamIsSingle(t *testing.T) {
 		// loop converts its wait into the wall-clock instant
 		// SetReadDeadline takes.
 		"fleet.go:loop": 1,
-		// The loopback harness times a join across two fleets from outside.
-		"scale.go:LoopbackScale": 4,
 	}
 	files, err := filepath.Glob("*.go")
 	if err != nil {

@@ -15,8 +15,8 @@
 //     same way SO_REUSEPORT spreads flows across acceptor sockets.
 //   - A hierarchical hashed timer wheel per shard replaces per-node
 //     time.Timers: every engine's single alarm is an intrusive list
-//     entry, so arming is O(1) and 100k sleeping control points cost
-//     zero goroutines and zero timer-heap pressure.
+//     entry, so arming is O(1) and sleeping control points cost zero
+//     goroutines and zero timer-heap pressure.
 //   - Shard I/O is batched end to end: a pooled receive-buffer ring is
 //     filled by BatchPacketConn.ReadBatch (one recvmmsg syscall per
 //     readable burst on Linux) and engine sends coalesce in a send

@@ -431,6 +431,124 @@ func TestFleetSAPPAndNaive(t *testing.T) {
 	})
 }
 
+// loopbackWindow is what joinLoopback measured: the CP fleet's
+// counters on either side of the steady-state window.
+type loopbackWindow struct {
+	// goroutines is the process count right after every CP reached
+	// steady state.
+	goroutines int
+	// budget is the aggregate probe budget in probes/s: devices × L_nom
+	// under DCPP, CPs × probeHz in high-rate mode.
+	budget        float64
+	before, after Snapshot
+	// devDecodeErrors is the device fleet's decode error count.
+	devDecodeErrors uint64
+}
+
+// delta is one counter's growth over the window.
+func (r loopbackWindow) delta(field func(Counters) uint64) float64 {
+	return float64(field(r.after.Total) - field(r.before.Total))
+}
+
+// probesPerSec is the CP fleet's aggregate probe rate over the window.
+func (r loopbackWindow) probesPerSec() float64 {
+	return r.delta(func(c Counters) uint64 { return c.ProbesOut }) / (r.after.At - r.before.At).Seconds()
+}
+
+// fill returns packets per transport call over the window, in and out.
+func (r loopbackWindow) fill() (in, out float64) {
+	in = r.delta(func(c Counters) uint64 { return c.PacketsIn }) / r.delta(func(c Counters) uint64 { return c.SyscallsIn })
+	out = r.delta(func(c Counters) uint64 { return c.PacketsOut }) / r.delta(func(c Counters) uint64 { return c.SyscallsOut })
+	return in, out
+}
+
+// joinLoopback boots a device fleet and a CP fleet on kernel UDP
+// loopback and joins cps control points through a JoinPacer, spread
+// round-robin over devices. It waits until every CP has completed a
+// probe cycle — restarting any that lost a whole cycle to the join
+// storm, as a production monitor would — and snapshots the CP fleet
+// across window. probeHz 0 runs paper-default DCPP; otherwise every CP
+// runs the naive protocol at probeHz, with timeouts long enough that
+// deliberate overload is not read as death.
+func joinLoopback(t *testing.T, cps, devices int, window time.Duration, probeHz float64, cpCfg Config) loopbackWindow {
+	t.Helper()
+	devCfg := dcpp.DefaultDeviceConfig()
+	newDevice := func(id ident.NodeID) DeviceBuilder {
+		return func(env core.Env) (core.Device, error) {
+			if probeHz > 0 {
+				return naive.NewDevice(id, env)
+			}
+			return dcpp.NewDevice(id, env, devCfg)
+		}
+	}
+	newPolicy := func() (core.DelayPolicy, error) {
+		if probeHz > 0 {
+			return naive.NewPolicy(time.Duration(float64(time.Second) / probeHz))
+		}
+		return dcpp.NewPolicy(dcpp.PolicyConfig{})
+	}
+	var retransmit core.RetransmitConfig
+	res := loopbackWindow{budget: float64(devices) * devCfg.NominalLoad()}
+	if probeHz > 0 {
+		retransmit = core.RetransmitConfig{FirstTimeout: 2 * time.Second, RetryTimeout: time.Second, MaxRetransmits: 3}
+		res.budget = float64(cps) * probeHz
+	}
+
+	devFleet := startedFleet(t, Config{Shards: devices, ForceSingleDatagram: cpCfg.ForceSingleDatagram})
+	var ids ident.Allocator
+	devs := make([]*Device, devices)
+	for i := range devs {
+		id := ids.Next()
+		dev, err := devFleet.AddDevice(id, newDevice(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs[i] = dev
+	}
+	cpFleet := startedFleet(t, cpCfg)
+	pacer := NewJoinPacer(cps, 0)
+	all := make([]*ControlPoint, cps)
+	for i := range all {
+		policy, err := newPolicy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := devs[i%devices]
+		all[i], err = cpFleet.AddControlPoint(CPConfig{
+			ID: ids.Next(), Device: dev.ID(), DeviceAddrPort: dev.Addr(),
+			Policy: policy, Retransmit: retransmit,
+		})
+		if err != nil {
+			t.Fatalf("add cp %d: %v", i, err)
+		}
+		pacer.Tick()
+	}
+
+	deadline := time.Now().Add(30*time.Second + 2*DefaultJoinRamp(cps))
+	for steady := 0; steady < cps; {
+		cp := all[steady]
+		if cp.Stats().CyclesOK >= 1 {
+			steady++
+			continue
+		}
+		if cp.Stopped() {
+			if err := cp.Restart(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cp %v never completed a cycle (%d of %d steady)", cp.ID(), steady, cps)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	res.goroutines = runtime.NumGoroutine()
+	res.before = cpFleet.Snapshot()
+	time.Sleep(window)
+	res.after = cpFleet.Snapshot()
+	res.devDecodeErrors = devFleet.Snapshot().Total.DecodeErrors
+	return res
+}
+
 // TestFleetScaleLoopback1k is the scale integration test: 1000 control
 // points against loopback devices on a handful of event-loop
 // goroutines. Every CP must reach steady state, and the aggregate
@@ -440,91 +558,84 @@ func TestFleetScaleLoopback1k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test")
 	}
-	const cpCount = 1000
+	const cpCount, shards = 1000, 4
 	baseline := runtime.NumGoroutine()
-	res, err := LoopbackScale(ScaleOptions{
-		CPs:     cpCount,
-		Shards:  4,
-		Devices: 4,
-		Window:  2 * time.Second,
-		// Paper-default DCPP: L_nom = 10/s per device, f_max = 2/s.
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("scale result: %+v", res)
-	if res.SteadyCPs != cpCount {
-		t.Errorf("steady CPs = %d, want %d", res.SteadyCPs, cpCount)
+	// Paper-default DCPP: L_nom = 10/s per device, f_max = 2/s.
+	res := joinLoopback(t, cpCount, 4, 2*time.Second, 0, Config{Shards: shards})
+	total := res.after.Total
+	rate := res.probesPerSec()
+	t.Logf("%d CPs steady; %.1f probes/s of %.1f budget; wheel depth %d", total.LiveControlPoints, rate, res.budget, total.WheelDepth)
+	if total.LiveControlPoints != cpCount {
+		t.Errorf("steady CPs = %d, want %d", total.LiveControlPoints, cpCount)
 	}
 	// No per-node goroutines: 4 CP shards + 4 device shards + the
 	// harness and runtime slack, nowhere near 1000.
-	if got := res.Goroutines - baseline; got > 4+4+8 {
+	if got := res.goroutines - baseline; got > 4+4+8 {
 		t.Errorf("goroutines grew by %d for %d CPs — per-node goroutines leaked?", got, cpCount)
 	}
 	// Aggregate probes/s within the DCPP budget (L_nom per device),
 	// with margin for retransmissions and window-edge jitter.
-	if res.SteadyProbesPerSec > res.BudgetProbesPerSec*1.25+5 {
-		t.Errorf("steady probe rate %.1f/s exceeds DCPP budget %.1f/s",
-			res.SteadyProbesPerSec, res.BudgetProbesPerSec)
+	if rate > res.budget*1.25+5 {
+		t.Errorf("steady probe rate %.1f/s exceeds DCPP budget %.1f/s", rate, res.budget)
 	}
-	if res.SteadyProbesPerSec <= 0 {
+	if rate <= 0 {
 		t.Error("no steady probe traffic measured")
 	}
 	// Every sleeping CP holds exactly one wheel timer (plus one
 	// maintenance sweeper per shard).
-	if res.WheelDepth < cpCount || res.WheelDepth > cpCount+res.Shards {
-		t.Errorf("wheel depth = %d, want %d (one alarm per CP)", res.WheelDepth, cpCount)
+	if total.WheelDepth < cpCount || total.WheelDepth > cpCount+shards {
+		t.Errorf("wheel depth = %d, want %d (one alarm per CP)", total.WheelDepth, cpCount)
 	}
-	if res.DemuxCollisions != 0 {
-		t.Errorf("demux collisions = %d over %d staggered cycle spaces", res.DemuxCollisions, cpCount)
+	if total.DemuxCollisions != 0 {
+		t.Errorf("demux collisions = %d over %d staggered cycle spaces", total.DemuxCollisions, cpCount)
 	}
-	if res.DecodeErrors != 0 {
-		t.Errorf("decode errors = %d", res.DecodeErrors)
+	if errs := total.DecodeErrors + res.devDecodeErrors; errs != 0 {
+		t.Errorf("decode errors = %d", errs)
 	}
 }
 
-// TestLoopbackScaleTransportPaths runs the harness in high-rate mode
-// over kernel UDP on every transport path the runtime ships — batched
-// I/O, the single-datagram fallback, and the SO_REUSEPORT layout at one
-// and two shards. Every run must keep all its CPs steady, decode every
-// frame and account its syscalls; the single-datagram path must never
-// carry more than one packet a call. Throughput is not asserted here:
-// it is machine-dependent, and the benchmark of record (bench/,
-// udp-busy) measures it.
-func TestLoopbackScaleTransportPaths(t *testing.T) {
+// TestLoopbackTransportPaths runs 1000 high-rate naive CPs over kernel
+// UDP on every transport path the runtime ships — batched I/O, the
+// single-datagram fallback, and the SO_REUSEPORT layout at one and two
+// shards. Every run must keep all its CPs steady, decode every frame
+// and account its syscalls; the single-datagram path must never carry
+// more than one packet a call. Throughput is not asserted here: it is
+// machine-dependent, and the benchmark of record (bench/, udp-busy)
+// measures it.
+func TestLoopbackTransportPaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test")
 	}
 	for _, tc := range []struct {
-		name string
-		opts ScaleOptions
+		name    string
+		probeHz float64
+		cfg     Config
 	}{
-		{"batch", ScaleOptions{Shards: 1, ProbeHz: 4}},
-		{"single", ScaleOptions{Shards: 1, ProbeHz: 4, ForceSingleDatagram: true}},
-		{"reuseport-1", ScaleOptions{Shards: 1, ProbeHz: 10, ReusePort: true}},
-		{"reuseport-2", ScaleOptions{Shards: 2, ProbeHz: 10, ReusePort: true}},
+		{"batch", 4, Config{Shards: 1}},
+		{"single", 4, Config{Shards: 1, ForceSingleDatagram: true}},
+		{"reuseport-1", 10, Config{Shards: 1, ReusePort: true}},
+		{"reuseport-2", 10, Config{Shards: 2, ReusePort: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := tc.opts
-			opts.CPs, opts.Devices, opts.Window = 1000, 2, time.Second
-			res, err := LoopbackScale(opts)
-			if err != nil {
-				t.Fatal(err)
+			const cpCount = 1000
+			res := joinLoopback(t, cpCount, 2, time.Second, tc.probeHz, tc.cfg)
+			total := res.after.Total
+			rate := res.probesPerSec()
+			fillIn, fillOut := res.fill()
+			handoffs := res.delta(func(c Counters) uint64 { return c.HandoffsIn })
+			t.Logf("%d CPs steady; %.0f probes/s of %.0f offered; fill %.1f in / %.1f out; handoffs %.0f",
+				total.LiveControlPoints, rate, res.budget, fillIn, fillOut, handoffs)
+			if total.LiveControlPoints != cpCount {
+				t.Errorf("steady CPs = %d, want %d", total.LiveControlPoints, cpCount)
 			}
-			t.Logf("%d CPs steady; %.0f probes/s of %.0f offered; fill %.1f in / %.1f out; imbalance %.2f; handoffs %d in / %d out",
-				res.SteadyCPs, res.SteadyProbesPerSec, res.BudgetProbesPerSec,
-				res.BatchFillMeanIn, res.BatchFillMeanOut, res.ShardImbalance, res.HandoffsIn, res.HandoffsOut)
-			if res.SteadyCPs != res.CPs {
-				t.Errorf("steady CPs = %d, want %d", res.SteadyCPs, res.CPs)
+			if errs := total.DecodeErrors + res.devDecodeErrors; errs != 0 {
+				t.Errorf("decode errors = %d", errs)
 			}
-			if res.DecodeErrors != 0 {
-				t.Errorf("decode errors = %d", res.DecodeErrors)
+			if rate <= 0 || total.SyscallsIn == 0 || !(fillIn > 0) {
+				t.Errorf("no traffic or syscall accounting: %.1f probes/s, %d syscalls in, fill %.2f in", rate, total.SyscallsIn, fillIn)
 			}
-			if res.SteadyProbesPerSec <= 0 || res.SyscallsIn == 0 || res.BatchFillMeanIn <= 0 {
-				t.Errorf("no traffic or syscall accounting: %+v", res)
-			}
-			if opts.ForceSingleDatagram && (res.BatchFillMeanIn > 1 || res.BatchFillMeanOut > 1) {
-				t.Errorf("single-datagram path batched: fill %.2f in / %.2f out", res.BatchFillMeanIn, res.BatchFillMeanOut)
+			if tc.cfg.ForceSingleDatagram && (fillIn > 1 || fillOut > 1) {
+				t.Errorf("single-datagram path batched: fill %.2f in / %.2f out", fillIn, fillOut)
 			}
 		})
 	}
@@ -552,23 +663,5 @@ func TestFleetSnapshotAggregation(t *testing.T) {
 	}
 	if snap.Total.PacketsIn == 0 || snap.Total.PacketsOut == 0 {
 		t.Fatalf("no traffic in snapshot: %+v", snap.Total)
-	}
-}
-
-func BenchmarkFleetLoopback(b *testing.B) {
-	// One op = boot a 2k-CP loopback fleet, reach steady state, measure
-	// a 1 s window. Custom metrics carry the interesting numbers.
-	for i := 0; i < b.N; i++ {
-		res, err := LoopbackScale(ScaleOptions{
-			CPs:     2000,
-			Devices: 4,
-			Window:  time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.SteadyProbesPerSec, "probes/s")
-		b.ReportMetric(res.JoinSeconds, "join-s")
-		b.ReportMetric(float64(res.CPs), "cps")
 	}
 }

@@ -17,29 +17,22 @@
 // All fault draws come from per-link sub-streams forked off one seed:
 // the link a→b draws loss, delay, duplication and reordering from
 // rng.Fork("link/<a>/<b>"), and endpoint addresses are assigned in
-// Listen order from a fixed synthetic range. Senders are serialised
-// per link (the fleet serialises sends under its shard mutex), so for
-// a fixed seed the n-th datagram on a link always sees the same fate,
-// independent of goroutine scheduling across links. Delivery *order*
-// across links still depends on wall-clock timing — memnet makes the
-// fault pattern reproducible, not the interleaving; the conformance
-// harness therefore asserts invariants and tolerance-banded metrics,
-// not exact traces.
+// Listen order from a fixed synthetic range. Every send draws under
+// the one network mutex, so for a fixed seed the n-th datagram on a
+// link always sees the same fate, independent of goroutine scheduling
+// across links. Delivery *order* across links still depends on
+// wall-clock timing — memnet makes the fault pattern reproducible, not
+// the interleaving; the conformance harness therefore asserts
+// invariants and tolerance-banded metrics, not exact traces.
 //
 // # Concurrency
 //
-// The per-link fault contract needs per-link serialisation, nothing
-// global — and multi-shard fleets run one sender goroutine per shard,
-// so a single network mutex would serialise exactly the parallelism a
-// multi-core scaling run exists to measure. The benign path therefore
-// shares the network lock read-only per burst and takes only sharded
-// per-link locks for fault draws; counters are atomics. One global
-// exception keeps the adversarial harness exact: installing an Observer
-// or a Middlebox switches the network to the fully serialised path
-// (every send under one exclusive lock, in today's order), because both
-// APIs promise globally ordered, synchronous callbacks. Benchmarks run
-// observer-less; conformance runs observed — each gets the semantics it
-// needs.
+// There is one send path and one delivery path, both under one network
+// mutex: every send, middlebox call, fault draw, delivery, counter
+// update and observer callback runs while holding it, so Observer and
+// Middlebox callbacks are globally ordered and synchronous, and
+// installing either changes nothing else about the traffic. A batched
+// write takes the mutex once for the whole burst.
 //
 // Packets in flight ride real time.AfterFunc timers: a delay model's
 // draw is honoured on the wall clock, which both realises reordering
@@ -147,7 +140,7 @@ type PacketEvent struct {
 
 // Observer receives packet events. It is called synchronously from
 // send and delivery paths (possibly from several goroutines) and must
-// be cheap; the Network serialises calls with its own mutex.
+// be cheap. It runs under the network mutex, one call at a time.
 type Observer func(ev PacketEvent)
 
 // Counters aggregates datagram accounting.
@@ -169,57 +162,22 @@ type Network struct {
 	root   *rng.Rand
 	epoch  time.Time
 
-	// downCount mirrors len(down); the endpoint read paths check it
-	// atomically so the benign hot path pays no lock while nothing is
-	// partitioned.
+	// downCount mirrors len(down); the endpoint read path checks it
+	// atomically so a read pays no lock while nothing is partitioned.
 	downCount atomic.Int32
 
-	// serial is true while an Observer or Middlebox is installed: sends
-	// then run fully serialised under an exclusive mu, preserving the
-	// global callback order those APIs promise. Benign traffic (the
-	// common case for scale runs) keeps mu read-shared and contends only
-	// on per-link locks.
-	serial atomic.Bool
-
-	mu       sync.RWMutex
+	mu       sync.Mutex
 	eps      map[netip.AddrPort]*Endpoint
 	groups   map[netip.AddrPort][]*Endpoint
 	down     map[netip.AddrPort]bool
+	links    map[linkKey]*link
 	middle   []Middlebox
 	nextPort uint16
 	observer Observer
 	// seen is deliverLocked's copy of the frame it shows the observer.
 	seen   []byte
 	closed bool
-
-	// links is sharded by key hash so concurrent senders on different
-	// links never touch the same lock; each link additionally carries its
-	// own mutex serialising its fault draws.
-	links [linkShards]linkShard
-
-	cnt cnt
-}
-
-// cnt is the atomic counter block behind Counters.
-type cnt struct {
-	sent       atomic.Uint64
-	delivered  atomic.Uint64
-	lost       atomic.Uint64
-	duplicated atomic.Uint64
-	dropped    atomic.Uint64
-	overflowed atomic.Uint64
-	injected   atomic.Uint64
-	filtered   atomic.Uint64
-}
-
-// linkShards is the link-map shard count: far above any plausible
-// sender (= fleet shard) count, so two links practically never share a
-// map lock.
-const linkShards = 64
-
-type linkShard struct {
-	mu sync.Mutex
-	m  map[linkKey]*link
+	cnt    Counters
 }
 
 type linkKey struct {
@@ -227,10 +185,8 @@ type linkKey struct {
 }
 
 // link carries the per-link fault state: its own RNG stream and its
-// own (possibly stateful) loss model. mu serialises fault draws — the
-// unit of memnet's determinism contract.
+// own (possibly stateful) loss model.
 type link struct {
-	mu   sync.Mutex
 	r    *rng.Rand
 	loss simnet.LossModel
 }
@@ -252,37 +208,27 @@ func New(f Faults) *Network {
 		eps:      make(map[netip.AddrPort]*Endpoint),
 		groups:   make(map[netip.AddrPort][]*Endpoint),
 		down:     make(map[netip.AddrPort]bool),
+		links:    make(map[linkKey]*link),
 		nextPort: 9000,
-	}
-	for i := range n.links {
-		n.links[i].m = make(map[linkKey]*link)
 	}
 	return n
 }
 
 // Observe installs the packet observer (nil removes it). Install it
 // before traffic starts; events already in flight may slip past an
-// observer installed late. While an observer is installed the network
-// runs fully serialised (see the package comment).
+// observer installed late. The observer only watches: traffic is the
+// same with or without one.
 func (n *Network) Observe(obs Observer) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.observer = obs
-	n.serial.Store(obs != nil || len(n.middle) > 0)
 }
 
 // Counters returns a snapshot of the datagram accounting.
 func (n *Network) Counters() Counters {
-	return Counters{
-		Sent:       n.cnt.sent.Load(),
-		Delivered:  n.cnt.delivered.Load(),
-		Lost:       n.cnt.lost.Load(),
-		Duplicated: n.cnt.duplicated.Load(),
-		Dropped:    n.cnt.dropped.Load(),
-		Overflowed: n.cnt.overflowed.Load(),
-		Injected:   n.cnt.injected.Load(),
-		Filtered:   n.cnt.filtered.Load(),
-	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.cnt
 }
 
 // Since returns the offset from the network's construction — the
@@ -388,13 +334,11 @@ func (n *Network) SetDown(addr netip.AddrPort, down bool) {
 // AddMiddlebox installs a middlebox at the tail of the chain. Installed
 // mid-run it sees traffic from the next send onward; frames already in
 // flight pass it by. Middleboxes cannot be removed — tear the network
-// down instead. While any middlebox is installed the network runs fully
-// serialised (see the package comment).
+// down instead.
 func (n *Network) AddMiddlebox(m Middlebox) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.middle = append(n.middle, m)
-	n.serial.Store(true)
 }
 
 // ForkRNG returns a deterministic sub-stream of the network's seed for
@@ -439,25 +383,22 @@ func acquireFrame(b []byte) *[]byte {
 func releaseFrame(p *[]byte) { framePool.Put(p) }
 
 // linkFor returns (creating on first use) the fault state of a→b.
-// Safe under either mu mode: the link shard has its own lock.
+// Caller holds n.mu.
 func (n *Network) linkFor(from, to netip.AddrPort) *link {
 	key := linkKey{from, to}
-	ls := &n.links[(groupHash(from)^groupHash(to)*0x9e3779b97f4a7c15)&(linkShards-1)]
-	ls.mu.Lock()
-	l, ok := ls.m[key]
+	l, ok := n.links[key]
 	if !ok {
 		l = &link{r: n.root.Fork(fmt.Sprintf("link/%s/%s", from, to))}
 		if n.faults.NewLoss != nil {
 			l.loss = n.faults.NewLoss()
 		}
-		ls.m[key] = l
+		n.links[key] = l
 	}
-	ls.mu.Unlock()
 	return l
 }
 
-// faultPlan is one datagram's drawn fate — the draws happen atomically
-// per link (under link.mu), the resulting deliveries afterwards.
+// faultPlan is one datagram's drawn fate — the draws happen together,
+// the resulting deliveries afterwards.
 type faultPlan struct {
 	lost     bool
 	dup      bool
@@ -467,10 +408,8 @@ type faultPlan struct {
 
 // drawPlan draws one datagram's fault plan from its link's stream, in
 // the fixed draw order (loss, delay+reorder, duplicate, duplicate's
-// delay+reorder) that the determinism contract pins.
+// delay+reorder) that the determinism contract pins. Caller holds n.mu.
 func (n *Network) drawPlan(l *link) faultPlan {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var p faultPlan
 	if l.loss != nil && l.loss.Lose(l.r) {
 		p.lost = true
@@ -484,20 +423,20 @@ func (n *Network) drawPlan(l *link) faultPlan {
 	return p
 }
 
-// emit reports one packet event on the serialised path. Caller holds
-// n.mu exclusively.
+// emit counts one datagram outcome and reports it to the observer.
+// Caller holds n.mu.
 func (n *Network) emit(from, to netip.AddrPort, frame []byte, v Verdict, dup, injected bool) {
 	switch v {
 	case Delivered:
-		n.cnt.delivered.Add(1)
+		n.cnt.Delivered++
 	case Lost:
-		n.cnt.lost.Add(1)
+		n.cnt.Lost++
 	case DroppedDown:
-		n.cnt.dropped.Add(1)
+		n.cnt.Dropped++
 	case Overflowed:
-		n.cnt.overflowed.Add(1)
+		n.cnt.Overflowed++
 	case Filtered:
-		n.cnt.filtered.Add(1)
+		n.cnt.Filtered++
 	}
 	if n.observer != nil {
 		n.observer(PacketEvent{
@@ -507,101 +446,24 @@ func (n *Network) emit(from, to netip.AddrPort, frame []byte, v Verdict, dup, in
 	}
 }
 
-// send applies the link's fault plan to one datagram and schedules the
-// surviving copies.
+// send applies the middlebox chain and the link's fault plan to one
+// datagram and schedules the surviving copies.
 func (n *Network) send(from, to netip.AddrPort, b []byte) {
-	if n.serial.Load() {
-		n.mu.Lock()
-		n.sendLocked(from, to, b)
-		n.mu.Unlock()
-		return
-	}
-	n.mu.RLock()
-	n.sendFast(from, to, b)
-	n.mu.RUnlock()
+	n.mu.Lock()
+	n.sendLocked(from, to, b)
+	n.mu.Unlock()
 }
 
-// sendFast is the benign-path send: no observer, no middlebox, so no
-// global ordering to honour — the network lock is held read-shared and
-// the only exclusion is the link's own draw lock. Caller holds
-// n.mu.RLock.
-func (n *Network) sendFast(from, to netip.AddrPort, b []byte) {
-	if n.closed {
-		return
-	}
-	n.cnt.sent.Add(1)
-	if n.downCount.Load() > 0 && (n.down[from] || n.down[to]) {
-		n.cnt.dropped.Add(1)
-		return
-	}
-	p := n.drawPlan(n.linkFor(from, to))
-	if p.lost {
-		n.cnt.lost.Add(1)
-		return
-	}
-	n.transmitFast(datagram{from: from, to: to, frame: acquireFrame(b)}, p.delay)
-	if p.dup {
-		n.cnt.duplicated.Add(1)
-		n.transmitFast(datagram{from: from, to: to, frame: acquireFrame(b), duplicate: true}, p.dupDelay)
-	}
-}
-
-// transmitFast puts one copy in flight on the benign path. Caller holds
-// n.mu.RLock; the delayed closure re-acquires in whatever mode the
-// network is in by then.
-func (n *Network) transmitFast(d datagram, delay time.Duration) {
-	if delay <= 0 {
-		n.deliverFast(d)
-		return
-	}
-	time.AfterFunc(delay, func() { n.deliverAsync(d) })
-}
-
-// deliverAsync completes a delayed delivery, picking the path matching
-// the network's current mode.
+// deliverAsync completes a delayed delivery.
 func (n *Network) deliverAsync(d datagram) {
-	if n.serial.Load() {
-		n.mu.Lock()
-		n.deliverLocked(d)
-		n.mu.Unlock()
-		return
-	}
-	n.mu.RLock()
-	n.deliverFast(d)
-	n.mu.RUnlock()
-}
-
-// deliverFast completes one benign-path delivery attempt: counters
-// only, no observer (none is installed in this mode). Caller holds
-// n.mu.RLock.
-func (n *Network) deliverFast(d datagram) {
-	if n.closed {
-		releaseFrame(d.frame)
-		return
-	}
-	if n.downCount.Load() > 0 && (n.down[d.from] || n.down[d.to]) {
-		n.cnt.dropped.Add(1)
-		releaseFrame(d.frame)
-		return
-	}
-	e, ok := n.destFor(d)
-	if !ok {
-		n.cnt.dropped.Add(1)
-		releaseFrame(d.frame)
-		return
-	}
-	select {
-	case e.inbox <- d:
-		n.cnt.delivered.Add(1)
-	default:
-		n.cnt.overflowed.Add(1)
-		releaseFrame(d.frame)
-	}
+	n.mu.Lock()
+	n.deliverLocked(d)
+	n.mu.Unlock()
 }
 
 // destFor resolves a datagram's destination endpoint: a reuseport-style
 // group member picked by source hash when the address names a group,
-// the plain endpoint otherwise. Caller holds n.mu (either mode).
+// the plain endpoint otherwise. Caller holds n.mu.
 func (n *Network) destFor(d datagram) (*Endpoint, bool) {
 	if len(n.groups) > 0 {
 		if g, ok := n.groups[d.to]; ok && len(g) > 0 {
@@ -612,18 +474,17 @@ func (n *Network) destFor(d datagram) (*Endpoint, bool) {
 	return e, ok
 }
 
-// sendLocked is the serialised-path send (observer or middlebox
-// installed), under an exclusively-held network mutex — a batched write
-// pays one lock acquisition for the whole burst. The middlebox chain
-// runs first — at the sender's first hop, before the down check, so an
-// on-path adversary observes even traffic addressed to a crashed
-// endpoint — then the link fault plan. Instant deliveries complete
-// inline; delayed copies ride time.AfterFunc.
+// sendLocked sends one datagram under the held network mutex — a
+// batched write pays one lock acquisition for the whole burst. The
+// middlebox chain runs first — at the sender's first hop, before the
+// down check, so an on-path adversary observes even traffic addressed
+// to a crashed endpoint — then the link fault plan. Instant deliveries
+// complete inline; delayed copies ride time.AfterFunc.
 func (n *Network) sendLocked(from, to netip.AddrPort, b []byte) {
 	if n.closed {
 		return
 	}
-	n.cnt.sent.Add(1)
+	n.cnt.Sent++
 	for _, mb := range n.middle {
 		if mb.Process(time.Since(n.epoch), from, to, b, Injector{n}) == Drop {
 			n.emit(from, to, b, Filtered, false, false)
@@ -651,13 +512,13 @@ func (n *Network) forwardLocked(from, to netip.AddrPort, b []byte, injected bool
 	}
 	n.transmitLocked(datagram{from: from, to: to, frame: acquireFrame(b), injected: injected}, p.delay)
 	if p.dup {
-		n.cnt.duplicated.Add(1)
+		n.cnt.Duplicated++
 		n.transmitLocked(datagram{from: from, to: to, frame: acquireFrame(b), duplicate: true, injected: injected}, p.dupDelay)
 	}
 }
 
 // drawDelay draws one transit time, including a possible reorder hold.
-// Caller holds l.mu (via drawPlan).
+// Caller holds n.mu.
 func (n *Network) drawDelay(l *link) time.Duration {
 	var d time.Duration
 	if n.faults.Delay != nil {
@@ -672,10 +533,9 @@ func (n *Network) drawDelay(l *link) time.Duration {
 	return d
 }
 
-// transmitLocked puts one copy in flight on the serialised path,
-// delivering inline when there is no delay to wait out. Caller holds
-// n.mu exclusively; delayed copies complete in whatever mode the
-// network is in at delivery time.
+// transmitLocked puts one copy in flight, delivering inline when there
+// is no delay to wait out. Caller holds n.mu; a delayed copy takes it
+// again when its timer fires.
 func (n *Network) transmitLocked(d datagram, delay time.Duration) {
 	if delay <= 0 {
 		n.deliverLocked(d)
@@ -684,9 +544,9 @@ func (n *Network) transmitLocked(d datagram, delay time.Duration) {
 	time.AfterFunc(delay, func() { n.deliverAsync(d) })
 }
 
-// deliverLocked completes one delivery attempt on the serialised path;
-// the frame buffer is recycled unless it made it into an inbox (the
-// reader releases it). Caller holds n.mu exclusively.
+// deliverLocked completes one delivery attempt; the frame buffer is
+// recycled unless it made it into an inbox (the reader releases it).
+// Caller holds n.mu.
 func (n *Network) deliverLocked(d datagram) {
 	if n.closed {
 		releaseFrame(d.frame)
@@ -869,20 +729,22 @@ func (e *Endpoint) poll(b []byte) (int, netip.AddrPort, bool) {
 // read time: SetDown partitions an address away *including* datagrams
 // that already made it into an inbox before the partition — without
 // this check a delivery scheduled (or enqueued) just before SetDown
-// would still reach a downed endpoint's reader. The fast path is one
-// atomic load while nothing is partitioned.
+// would still reach a downed endpoint's reader. While nothing is
+// partitioned the check is one atomic load.
 func (e *Endpoint) dropQueued(d datagram) bool {
 	n := e.n
 	if n.downCount.Load() == 0 {
 		return false
 	}
-	n.mu.RLock()
+	n.mu.Lock()
 	// As in forwardLocked: an injected frame's source is spoofed, so
 	// only its destination's partition state applies.
 	down := (!d.injected && n.down[d.from]) || n.down[d.to]
-	n.mu.RUnlock()
 	if down {
-		n.cnt.dropped.Add(1)
+		n.cnt.Dropped++
+	}
+	n.mu.Unlock()
+	if down {
 		releaseFrame(d.frame)
 	}
 	return down
@@ -948,19 +810,11 @@ func (e *Endpoint) WriteBatch(dgs []fleet.Datagram) (int, error) {
 	default:
 	}
 	n := e.n
-	if n.serial.Load() {
-		n.mu.Lock()
-		for i := range dgs {
-			n.sendLocked(e.addr, dgs[i].Addr, dgs[i].Buf)
-		}
-		n.mu.Unlock()
-	} else {
-		n.mu.RLock()
-		for i := range dgs {
-			n.sendFast(e.addr, dgs[i].Addr, dgs[i].Buf)
-		}
-		n.mu.RUnlock()
+	n.mu.Lock()
+	for i := range dgs {
+		n.sendLocked(e.addr, dgs[i].Addr, dgs[i].Buf)
 	}
+	n.mu.Unlock()
 	return len(dgs), nil
 }
 

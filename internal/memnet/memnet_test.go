@@ -96,6 +96,61 @@ func TestFaultPatternDeterministic(t *testing.T) {
 	}
 }
 
+// TestObserverIsPassive: installing an observer changes nothing about
+// the traffic. One sender's seeded stream over a lossy, duplicating
+// link, delivered instantly so the receive order is fixed, must leave
+// the same counters and the same received byte sequence with and
+// without an observer watching.
+func TestObserverIsPassive(t *testing.T) {
+	run := func(observed bool) (memnet.Counters, []byte) {
+		n := memnet.New(memnet.Faults{
+			Seed: 11,
+			NewLoss: func() simnet.LossModel {
+				return &simnet.GilbertElliott{GoodToBad: 0.2, BadToGood: 0.3, LossBad: 0.8, LossGood: 0.05}
+			},
+			DuplicateP: 0.3,
+		})
+		defer n.Close()
+		var events int
+		if observed {
+			n.Observe(func(memnet.PacketEvent) { events++ })
+		}
+		src, _ := n.Listen()
+		sink, _ := n.Listen()
+		for i := 0; i < 500; i++ {
+			if _, err := src.WriteToUDPAddrPort([]byte{byte(i), byte(i >> 8)}, sink.LocalAddrPort()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []byte
+		buf := make([]byte, 16)
+		for {
+			sink.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+			k, _, err := sink.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				break
+			}
+			got = append(got, buf[:k]...)
+		}
+		c := n.Counters()
+		if observed && uint64(events) != c.Delivered+c.Lost {
+			t.Fatalf("observer saw %d events, want delivered+lost = %d", events, c.Delivered+c.Lost)
+		}
+		return c, got
+	}
+	plainC, plain := run(false)
+	seenC, seen := run(true)
+	if plainC.Lost == 0 || plainC.Duplicated == 0 {
+		t.Fatalf("fault plan not exercised: %+v", plainC)
+	}
+	if plainC != seenC {
+		t.Fatalf("counters differ: unobserved %+v, observed %+v", plainC, seenC)
+	}
+	if !bytes.Equal(plain, seen) {
+		t.Fatalf("received sequences differ: %d bytes unobserved, %d observed", len(plain), len(seen))
+	}
+}
+
 func TestDeliveryAndAddressing(t *testing.T) {
 	n := memnet.New(memnet.Faults{})
 	defer n.Close()
@@ -222,11 +277,11 @@ func TestListenGroupDemux(t *testing.T) {
 	}
 }
 
-// TestConcurrentFastPathCounters hammers the observer-free fast path
-// (shared read-lock, sharded links, atomic counters) from many sender
-// goroutines at once: every accepted datagram must be accounted for
-// exactly once. With -race this doubles as the contention audit for
-// the lock split.
+// TestConcurrentFastPathCounters hammers the one send and delivery
+// path from many sender goroutines at once, with no observer
+// installed: every accepted datagram must be accounted for exactly
+// once. With -race this doubles as the audit that all of the path's
+// state sits behind the network mutex.
 func TestConcurrentFastPathCounters(t *testing.T) {
 	n := memnet.New(memnet.Faults{})
 	defer n.Close()

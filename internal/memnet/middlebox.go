@@ -59,6 +59,6 @@ func (in Injector) Inject(from, to netip.AddrPort, frame []byte) {
 	if n == nil || n.closed {
 		return
 	}
-	n.cnt.injected.Add(1)
+	n.cnt.Injected++
 	n.forwardLocked(from, to, frame, true)
 }

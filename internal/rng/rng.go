@@ -140,14 +140,6 @@ func (r *Rand) IntBetween(lo, hi int) int {
 	return lo + r.Intn(hi-lo+1)
 }
 
-// Uniform returns a uniform value in [a, b). It panics if b < a.
-func (r *Rand) Uniform(a, b float64) float64 {
-	if b < a {
-		panic(fmt.Sprintf("rng: Uniform with b=%g < a=%g", b, a))
-	}
-	return a + (b-a)*r.Float64()
-}
-
 // Exp returns an exponentially distributed value with the given rate
 // (mean 1/rate). It panics if rate <= 0.
 func (r *Rand) Exp(rate float64) float64 {
@@ -229,15 +221,6 @@ func (r *Rand) ExpDuration(ratePerSec float64) time.Duration {
 		return time.Duration(math.MaxInt64)
 	}
 	return time.Duration(ns)
-}
-
-// Pick returns a uniformly chosen element of items. It panics on an empty
-// slice.
-func Pick[T any](r *Rand, items []T) T {
-	if len(items) == 0 {
-		panic("rng: Pick from empty slice")
-	}
-	return items[r.Intn(len(items))]
 }
 
 // Perm returns a uniform random permutation of [0, n).

@@ -180,16 +180,6 @@ func TestExpMeanAndPositivity(t *testing.T) {
 	}
 }
 
-func TestUniformRange(t *testing.T) {
-	r := New(9)
-	for i := 0; i < 10000; i++ {
-		v := r.Uniform(2.5, 7.5)
-		if v < 2.5 || v >= 7.5 {
-			t.Fatalf("Uniform(2.5,7.5) = %g out of range", v)
-		}
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := New(10)
 	const n = 100000
@@ -254,20 +244,6 @@ func TestExpDurationMean(t *testing.T) {
 	mean := sum.Seconds() / n
 	if math.Abs(mean-0.5) > 0.01 {
 		t.Fatalf("ExpDuration(2) mean = %gs, want ≈0.5s", mean)
-	}
-}
-
-func TestPick(t *testing.T) {
-	r := New(14)
-	items := []string{"slow", "medium", "fast"}
-	counts := map[string]int{}
-	for i := 0; i < 30000; i++ {
-		counts[Pick(r, items)]++
-	}
-	for _, it := range items {
-		if counts[it] < 9000 || counts[it] > 11000 {
-			t.Fatalf("mode %q drawn %d times out of 30000, want ≈10000", it, counts[it])
-		}
 	}
 }
 

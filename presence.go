@@ -229,10 +229,6 @@ type (
 	FleetCounters = fleet.Counters
 	// FleetSnapshot aggregates per-shard counters.
 	FleetSnapshot = fleet.Snapshot
-	// FleetScaleOptions parameterises the loopback scale harness.
-	FleetScaleOptions = fleet.ScaleOptions
-	// FleetScaleResult is what the loopback scale harness measured.
-	FleetScaleResult = fleet.ScaleResult
 	// FleetRuntimeConfig carries every fleet knob changeable while the
 	// fleet runs (Fleet.SetConfig / Fleet.ConfigSnapshot): harden
 	// toggles, replay/pending windows, per-device probe budgets, the
@@ -310,13 +306,6 @@ func NewFleetSAPPControlPoint(f *Fleet, cfg FleetCPConfig, policy SAPPCPConfig, 
 	cfg.Policy = p
 	cfg.Listener = lst
 	return f.AddControlPoint(cfg)
-}
-
-// FleetLoopbackScale runs the loopback scale harness: a fleet of
-// control points probing in-process DCPP devices, measured at steady
-// state.
-func FleetLoopbackScale(opts FleetScaleOptions) (FleetScaleResult, error) {
-	return fleet.LoopbackScale(opts)
 }
 
 // LoadFleetAuthKey reads a frame-authentication master key from a

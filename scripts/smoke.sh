@@ -70,6 +70,19 @@ eventually() {
 nonzero() { awk -v f="$2" '$1 == f { if ($2+0 > 0) ok=1 } END { exit !ok }' "$1"; }
 zero() { awk -v f="$2" '$1 == f { if ($2+0 > 0) bad=1 } END { exit bad }' "$1"; }
 
+# field LOG KEY: one key=value of a probefleet run's final dump line
+# ("probefleet: final after 5s — cps=2000/2000 in=… errs dec=0 …").
+field() { grep '^probefleet: final after' "$1" | tr ' ' '\n' | sed -n "s/^$2=//p"; }
+
+# steady LOG CPS: the run ended with all CPS control points alive and
+# no decode errors, send errors or demux collisions.
+steady() {
+  grep '^probefleet: final after' "$1"
+  [ "$(field "$1" cps)" = "$2/$2" ] && [ "$(field "$1" dec)" = 0 ] &&
+    [ "$(field "$1" send)" = 0 ] && [ "$(field "$1" coll)" = 0 ] ||
+    { echo "smoke: $1: want cps=$2/$2 and errs dec=0 send=0 coll=0" >&2; return 1; }
+}
+
 scenario() {
   # Round-trip a scenario through JSON, then the population-model sweep.
   "$probesim" -scenario fig5-uniform-churn -dump-scenario "$tmp/fig5.json"
@@ -101,8 +114,14 @@ fleet-scale() {
   # 2k CPs on shared sockets with batched I/O; then -single, the
   # portable one-datagram-per-call fallback, so this leg passes without
   # the Linux recvmmsg/sendmmsg binding too.
-  "$probefleet" -cps 2000 -loopback 4 -duration 5s -interval 1s
-  "$probefleet" -cps 2000 -loopback 2 -rate 4 -single -duration 5s -interval 1s
+  # DCPP's own budget leaves no stale duplicate reply to drop.
+  "$probefleet" -cps 2000 -loopback 4 -duration 5s -interval 1s >"$tmp/dcpp.log" 2>&1
+  steady "$tmp/dcpp.log" 2000
+  [ "$(field "$tmp/dcpp.log" drop)" = 0 ]
+  "$probefleet" -cps 2000 -loopback 2 -rate 4 -single -duration 5s -interval 1s >"$tmp/single.log" 2>&1
+  steady "$tmp/single.log" 2000
+  # One syscall per packet each way: syscalls=<in calls>/<out calls>.
+  [ "$(field "$tmp/single.log" syscalls)" = "$(field "$tmp/single.log" in)/$(field "$tmp/single.log" out)" ]
 }
 
 observability() {
@@ -179,7 +198,9 @@ daemons() {
 
 multicore() {
   # Two shards on one UDP port (SO_REUSEPORT).
-  "$probefleet" -cps 2000 -shards 2 -reuseport -rate 4 -loopback 2 -duration 5s -interval 1s
+  "$probefleet" -cps 2000 -shards 2 -reuseport -rate 4 -loopback 2 -duration 5s -interval 1s >"$tmp/multicore.log" 2>&1
+  steady "$tmp/multicore.log" 2000
+  grep 'SO_REUSEPORT active' "$tmp/multicore.log"
 }
 
 names=(scenario auth fleet-scale observability admin multicore daemons)
