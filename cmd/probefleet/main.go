@@ -11,6 +11,7 @@
 //	           [-min-gap D] [-min-cp-delay D]
 //	           [-duration D] [-interval D] [-join-ramp D]
 //	           [-batch N] [-single] [-reuseport] [-harden]
+//	           [-auth-keyfile FILE [-auth-require]]
 //	           [-status ADDR] [-admin] [-churn F]
 //
 // By default it runs self-contained: -loopback N hosts N devices of the
@@ -23,8 +24,12 @@
 // batched transport path instead of exercising DCPP's frugality.
 // -single forces the one-datagram-per-syscall fallback (the baseline
 // the batching win is measured against), and -harden switches on the
-// adversarial defenses (fleet Config.Harden) and reports their
+// adversarial defenses (fleet RuntimeConfig.Harden) and reports their
 // counters in the final dump.
+//
+// -auth-keyfile FILE signs every frame (wire v2) with the key in FILE,
+// read once at startup and shared by both fleets; SIGHUP re-reads it
+// and rotates live. -auth-require refuses unsigned frames outright.
 //
 // -status ADDR serves the fleet's status plane (internal/obs) on ADDR:
 // Prometheus /metrics (counters plus the probe-RTT, detection-latency,
@@ -181,9 +186,18 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 	if o.authRequire && o.authKeyfile == "" {
 		return fmt.Errorf("-auth-require needs -auth-keyfile")
 	}
-	auth := fleet.AuthConfig{KeyFile: o.authKeyfile, Require: o.authRequire}
+	// Both fleets start from one runtime config: the keyfile is read
+	// once, and both sign with the same key bytes.
+	rt := fleet.RuntimeConfig{Harden: o.harden, AuthRequire: o.authRequire}
+	if o.authKeyfile != "" {
+		key, err := fleet.LoadAuthKey(o.authKeyfile)
+		if err != nil {
+			return err
+		}
+		rt.AuthKey = key
+	}
 
-	cpFleet, err := fleet.New(fleet.Config{Shards: o.shards, Batch: o.batch, ForceSingleDatagram: o.single, ReusePort: o.reuseport, Harden: o.harden, Auth: auth})
+	cpFleet, err := fleet.New(fleet.Config{Shards: o.shards, Batch: o.batch, ForceSingleDatagram: o.single, ReusePort: o.reuseport, RuntimeConfig: rt})
 	if err != nil {
 		return err
 	}
@@ -244,7 +258,7 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		targets = []target{{id: ident.NodeID(uint32(o.deviceID)), addr: addr}}
 	} else {
 		var err error
-		devFleet, err = fleet.New(fleet.Config{Shards: o.loopback, Batch: o.batch, ForceSingleDatagram: o.single, Harden: o.harden, Auth: auth})
+		devFleet, err = fleet.New(fleet.Config{Shards: o.loopback, Batch: o.batch, ForceSingleDatagram: o.single, RuntimeConfig: rt})
 		if err != nil {
 			return err
 		}
@@ -494,7 +508,8 @@ func finalDump(out io.Writer, f, devFleet *fleet.Fleet) error {
 	// device fleet, for the defence lines and the full listing.
 	cp, t := snap.Total, snap.Total
 	if devFleet != nil {
-		t.Add(devFleet.Snapshot().Total)
+		dev := devFleet.Snapshot().Total
+		t.Add(&dev)
 	}
 	fmt.Fprintf(out, "probefleet: final after %s — cps=%d/%d in=%d out=%d syscalls=%d/%d probes=%d replies=%d timers=%d errs dec=%d send=%d drop=%d coll=%d\n",
 		snap.At.Round(time.Millisecond),

@@ -11,6 +11,11 @@ import (
 
 // TestRejectsBadInputs exercises every flag-validation exit path.
 func TestRejectsBadInputs(t *testing.T) {
+	dir := t.TempDir()
+	blank := filepath.Join(dir, "blank.key")
+	if err := os.WriteFile(blank, []byte(" \n\t"), 0o600); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -23,6 +28,8 @@ func TestRejectsBadInputs(t *testing.T) {
 		{"unparseable duration", []string{"-duration", "soon"}},
 		{"unknown flag", []string{"-bogus"}},
 		{"retired -pprof alias", []string{"-pprof", "127.0.0.1:0", "-cps", "1", "-duration", "1ms"}},
+		{"missing auth keyfile", []string{"-auth-keyfile", filepath.Join(dir, "absent.key"), "-cps", "1", "-duration", "1ms"}},
+		{"whitespace-only auth keyfile", []string{"-auth-keyfile", blank, "-cps", "1", "-duration", "1ms"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

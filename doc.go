@@ -135,8 +135,8 @@
 // (internal/memnet's Middlebox/Injector API) observe, drop and forge
 // datagrams in transit, and the adv-* scenarios in the registry mount
 // spoofed-BYE, replay, Byzantine-responder and reflection/amplification
-// attacks against a live fleet. fleet.Config.Harden switches on the
-// defenses — source-pinned reply acceptance, a replay window, BYE
+// attacks against a live fleet. fleet.RuntimeConfig.Harden switches
+// on the defenses — source-pinned reply acceptance, a replay window, BYE
 // verification (core.ProberOptions.VerifyBye: a BYE triggers a probe
 // cycle instead of an immediate verdict) and per-source admission — and
 // internal/conformance diffs the attacked run against the attack-free
@@ -150,25 +150,24 @@
 // an attacker who forges well-formed frames, so the wire format has an
 // authenticated version 2: every frame carries an AES-128-CMAC
 // tag under a key derived per (control point, device) pair from a
-// master secret (internal/wire's AuthKey/DeriveKey). fleet.AuthConfig
-// enables it — Key or KeyFile for the master secret, Require to refuse
-// unauthenticated v1 frames — and FleetRuntimeConfig.AuthKey rotates
-// the key on a live fleet with a dual-key grace (probefleet
-// -auth-keyfile re-reads and rotates on SIGHUP). Peers that have
-// spoken v2 are pinned to it (a per-peer high-water mark), so
-// stripping the tag or replaying v1 does not downgrade them. The
-// adv-auth-* scenarios (frame tampering, forged tags, tag stripping,
-// version downgrade against a crashed device) gate acceptance of any
-// forged frame at zero, signing and verifying stay inside the hot
-// path's 0 allocs/op budget (the BENCH "auth" section), and the
-// downgrade attack is kept as an expected failure of hardening alone —
-// the measured reason the MAC exists (EXPERIMENTS.md "Authenticated
-// frames").
+// master secret (internal/wire's AuthKey/DeriveKey). A non-empty
+// FleetRuntimeConfig.AuthKey enables it (LoadFleetAuthKey reads one
+// from a keyfile), AuthRequire refuses unauthenticated v1 frames, and
+// pushing a new AuthKey rotates the key on a live fleet with a
+// dual-key grace (probefleet -auth-keyfile re-reads and rotates on
+// SIGHUP). Peers that have spoken v2 are pinned to it (a per-peer
+// high-water mark), so stripping the tag or replaying v1 does not
+// downgrade them. The adv-auth-* scenarios (frame tampering, forged
+// tags, tag stripping, version downgrade against a crashed device)
+// gate acceptance of any forged frame at zero, signing and verifying
+// stay inside the hot path's 0 allocs/op budget (the BENCH "auth"
+// section), and the downgrade attack is kept as an expected failure of
+// hardening alone — the measured reason the MAC exists (EXPERIMENTS.md
+// "Authenticated frames").
 //
 // # Observability
 //
-// The fleet carries a zero-allocation telemetry plane, on by default
-// (fleet.Config.DisableTelemetry / FlightRecorder opt out):
+// The fleet carries a zero-allocation telemetry plane, always on:
 //
 //   - internal/metrics: cache-line-padded atomic log₂-bucket histograms
 //     record probe RTT, detection latency, cross-shard handoff latency,

@@ -354,7 +354,7 @@ func RunAdversarial(c AdvCase, seed uint64) (*AdvResult, error) {
 	a.FalsePresent = out.falsePresent
 	a.FilteredFrames = out.net.Filtered
 	sum := out.cpCounters // both fleets' shards: a defence fires on whichever side receives the frame
-	sum.Add(out.devCounters)
+	sum.Add(&out.devCounters)
 	a.AttemptMismatches = sum.AttemptMismatches
 	a.RepliesForged = sum.RepliesForged
 	a.ByesForged = sum.ByesForged

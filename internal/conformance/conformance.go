@@ -127,7 +127,7 @@ type Case struct {
 	// instantly but its in-flight sends still deliver). 0 = 25 ms.
 	ByeGrace time.Duration
 	// Harden enables the fleet's adversarial defenses (fleet
-	// Config.Harden) on both the CP and device fleets.
+	// RuntimeConfig.Harden) on both the CP and device fleets.
 	Harden bool
 	// Auth enables frame authentication on both fleets: a shared test
 	// master key with Require set, so every frame carries a v2 authentication tag
@@ -747,12 +747,12 @@ func runFleet(spec *scenario.Spec, sched *schedule, c Case, seed uint64) (fleetO
 	// unauthenticated frames: the strongest negotiation posture, and the
 	// one the adv-auth-* gates assume (a first-contact v1 frame is a
 	// downgrade by definition, not a legacy peer).
-	var auth fleet.AuthConfig
+	rt := fleet.RuntimeConfig{Harden: c.Harden}
 	if c.Auth {
-		auth = fleet.AuthConfig{Key: []byte("conformance-master-key"), Require: true}
+		rt.AuthKey, rt.AuthRequire = []byte("conformance-master-key"), true
 	}
 
-	devFleet, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, Harden: c.Harden, Auth: auth})
+	devFleet, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, RuntimeConfig: rt})
 	if err != nil {
 		return out, err
 	}
@@ -790,7 +790,7 @@ func runFleet(spec *scenario.Spec, sched *schedule, c Case, seed uint64) (fleetO
 	col := &collector{recs: make([]cpRecord, n), checker: checker}
 	cps := make([]*fleet.ControlPoint, n)
 
-	fcfg := fleet.Config{Shards: c.Shards, Transport: transport, Harden: c.Harden, Auth: auth}
+	fcfg := fleet.Config{Shards: c.Shards, Transport: transport, RuntimeConfig: rt}
 	if c.ViaAdmin {
 		fcfg.Verdicts = col.onVerdict
 	}

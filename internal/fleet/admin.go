@@ -147,27 +147,58 @@ func (f *Fleet) runOn(s *shard, fn func(*shard) error) error {
 	}
 }
 
-// RuntimeConfig carries every fleet knob that is safe to change while
-// the fleet runs. Fleet.SetConfig installs a new configuration
-// atomically per shard with a monotonic version; Fleet.ConfigSnapshot
-// returns the current one. Zero fields take the same defaults as the
-// matching Config fields.
+// RuntimeConfig carries every fleet setting that is safe to change
+// while the fleet runs. Config embeds it as the startup value (version
+// 1); Fleet.SetConfig installs a new configuration atomically per shard
+// with a monotonic version; Fleet.ConfigSnapshot returns the current
+// one. Zero fields take the defaults documented below, at startup and
+// on every push alike.
 type RuntimeConfig struct {
-	// Harden toggles the adversarial defenses (see Config.Harden).
+	// Harden enables the adversarial defenses. Without AuthKey the
+	// protocol frames are unauthenticated, so an on-path attacker can
+	// answer for the dead, say goodbye for the living, or reflect probes
+	// off a device; Harden buys back correctness with receiver-local
+	// state only — no wire change:
+	//
+	//   - Reply source pinning: a reply is accepted only from the probed
+	//     device's address (Counters.RepliesForged otherwise, pending
+	//     entry kept so the genuine reply can still land).
+	//   - Replay window: accepted (device, cycle) keys are remembered for
+	//     ReplayWindow, telling replayed copies (Counters.RepliesReplayed)
+	//     apart from ordinary latecomers (DemuxDrops).
+	//   - BYE source pinning + verification grace: a BYE from an address
+	//     other than the device's is dropped (Counters.ByesForged), and
+	//     even a well-sourced BYE for a healthy device triggers one
+	//     verification probe cycle (core.ProberOptions.VerifyBye) instead
+	//     of instant removal.
+	//   - Per-source probe admission: hosted devices answer each source
+	//     at most PerSourceProbeHz with PerSourceBurst slack; the excess
+	//     of an amplification flood is shed (Counters.ProbesShed).
+	//
+	// Off (the default), the runtime behaves exactly as the paper's
+	// protocols do — one spoofed frame can flip a verdict.
+	//
 	// Flipping it on mid-run hardens the reply/bye/probe paths
 	// immediately; BYE verification (core.ProberOptions.VerifyBye) is a
 	// per-prober option, so it applies to control points added after the
 	// change.
 	Harden bool
-	// PendingTTL bounds unanswered demux entries (Config.PendingTTL).
-	// Zero means 30 s.
+	// PendingTTL bounds how long an unanswered (device, cycle) demux
+	// entry survives before the periodic sweep drops it (entries of
+	// completed cycles are removed inline). Zero means 30 s.
 	PendingTTL time.Duration
-	// ReplayWindow bounds the replay-classification memory
-	// (Config.ReplayWindow, Harden only). Zero means 5 s.
+	// ReplayWindow bounds how long an accepted (device, cycle) demux key
+	// is remembered to classify replayed replies. Zero means 5 s. Only
+	// used when Harden is set.
 	ReplayWindow time.Duration
-	// PerSourceProbeHz and PerSourceBurst parameterise per-source probe
-	// admission (Config fields of the same name, Harden only). Zero
-	// means 15 Hz and 20.
+	// PerSourceProbeHz and PerSourceBurst parameterise the per-source
+	// probe admission token bucket of hosted devices (refill rate in
+	// probes/s and bucket depth). Zero means 15 Hz and 20 — above the
+	// paper's nominal 10 probes/s total DCPP device load even when one
+	// source address carries all of it, so no honest DCPP/SAPP workload
+	// is shed; raise both for protocols without device-controlled load
+	// pinning (the naive baseline grows linearly with population). Only
+	// used when Harden is set.
 	PerSourceProbeHz float64
 	PerSourceBurst   int
 	// PerDeviceProbeHz and PerDeviceBurst meter how fast this fleet's
@@ -186,18 +217,25 @@ type RuntimeConfig struct {
 	// beyond it are rejected with ErrAdmissionRejected
 	// (Counters.AdmissionRejected). Zero means 1024.
 	AdmissionQueue int
-	// AuthKey is the fleet's master authentication secret (see
-	// AuthConfig.Key). Pushing a config whose AuthKey differs from the
-	// live one rotates the keys: the old master stays accepted for
+	// AuthKey is the fleet's master pre-shared secret (LoadAuthKey reads
+	// one from a keyfile). Non-empty enables frame authentication (wire
+	// v2, auth.go): every frame sent is signed and every frame received
+	// is verified; per-pair and per-device subkeys are HKDF-derived from
+	// it, never used raw. Pushing a config whose AuthKey differs from
+	// the live one rotates the keys: the old master stays accepted for
 	// AuthRotationGrace (Counters.AuthStaleKey), then expires. Pushing
 	// an empty AuthKey disables authentication. The slice is retained;
 	// callers must not mutate it afterwards.
 	AuthKey []byte
-	// AuthRequire rejects every unauthenticated v1 frame (see
-	// AuthConfig.Require). Requires AuthKey.
+	// AuthRequire rejects every unauthenticated v1 frame, not only those
+	// from devices that already spoke v2. Set it once the whole
+	// population is authenticated; leave it unset during a rollout.
+	// Requires AuthKey.
 	AuthRequire bool
-	// AuthRotationGrace bounds the dual-key acceptance window after a
-	// rotation. Zero means 30 s (when AuthKey is set).
+	// AuthRotationGrace bounds how long the previous master is still
+	// accepted after a rotation, so frames in flight across the swap
+	// cannot manufacture a verdict. Zero means 30 s (when AuthKey is
+	// set).
 	AuthRotationGrace time.Duration
 }
 
@@ -243,27 +281,6 @@ func (rc *RuntimeConfig) validate() error {
 		return errors.New("fleet: negative auth rotation grace in runtime config")
 	}
 	return nil
-}
-
-// runtimeFromConfig lifts the startup Config into the initial
-// RuntimeConfig (version 1).
-func runtimeFromConfig(cfg *Config) RuntimeConfig {
-	rc := RuntimeConfig{
-		Harden:           cfg.Harden,
-		PendingTTL:       cfg.PendingTTL,
-		ReplayWindow:     cfg.ReplayWindow,
-		PerSourceProbeHz: cfg.PerSourceProbeHz,
-		PerSourceBurst:   cfg.PerSourceBurst,
-		PerDeviceProbeHz: cfg.PerDeviceProbeHz,
-		PerDeviceBurst:   cfg.PerDeviceBurst,
-		AdmissionQueue:   cfg.AdmissionQueue,
-
-		AuthKey:           cfg.Auth.Key,
-		AuthRequire:       cfg.Auth.Require,
-		AuthRotationGrace: cfg.Auth.RotationGrace,
-	}
-	rc.applyDefaults()
-	return rc
 }
 
 // SetConfig installs rc (zeros defaulted) as the fleet's runtime

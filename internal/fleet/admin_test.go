@@ -9,6 +9,7 @@ package fleet
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -77,7 +78,7 @@ func TestRemoveControlPointByID(t *testing.T) {
 // advances, and the refused mutation leaves no trace once the loop
 // resumes.
 func TestAdmissionQueueBound(t *testing.T) {
-	f := startedFleet(t, Config{Shards: 2, AdmissionQueue: 1})
+	f := startedFleet(t, Config{Shards: 2, RuntimeConfig: RuntimeConfig{AdmissionQueue: 1}})
 	dev := addDCPPDevice(t, f, 1, fastDCPP())
 	cp := addDCPPCP(t, f, 70, 1, dev.Addr().String(), nil)
 	s := f.shards[cp.Shard()]
@@ -104,6 +105,41 @@ func TestAdmissionQueueBound(t *testing.T) {
 	// With the loop running again the same call goes through.
 	if err := f.RemoveControlPoint(70); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStartupConfigIsRuntimeConfig pins that the RuntimeConfig embedded
+// in Config is the one spelling of every live setting: New either fails
+// with the error SetConfig gives for the same value, or starts at
+// version 1 with exactly the config SetConfig would install.
+func TestStartupConfigIsRuntimeConfig(t *testing.T) {
+	ref, err := New(Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	for name, rc := range map[string]RuntimeConfig{
+		"zero":                      {},
+		"harden-with-device-budget": {Harden: true, PerDeviceProbeHz: 5, PerDeviceBurst: 3},
+		"auth":                      {AuthKey: []byte("startup-master"), AuthRequire: true, AuthRotationGrace: 7 * time.Second},
+		"negative-pending-ttl":      {PendingTTL: -time.Second},
+		"require-without-key":       {AuthRequire: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, setErr := ref.SetConfig(rc)
+			want, _ := ref.ConfigSnapshot()
+			f, newErr := New(Config{Shards: 1, RuntimeConfig: rc})
+			if setErr != nil || newErr != nil {
+				if setErr == nil || newErr == nil || newErr.Error() != setErr.Error() {
+					t.Fatalf("New error %v, SetConfig error %v: want the same", newErr, setErr)
+				}
+				return
+			}
+			defer f.Close()
+			if got, ver := f.ConfigSnapshot(); ver != 1 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("New installed version %d %+v, SetConfig installs %+v", ver, got, want)
+			}
+		})
 	}
 }
 
@@ -160,7 +196,7 @@ func TestSetConfigVersioning(t *testing.T) {
 // and each shed cycle behaves exactly like a lost probe — the CPs sit
 // in their retransmit wait instead of declaring anything.
 func TestPerDeviceProbeBudget(t *testing.T) {
-	f := startedFleet(t, Config{Shards: 1, PerDeviceProbeHz: 1, PerDeviceBurst: 1})
+	f := startedFleet(t, Config{Shards: 1, RuntimeConfig: RuntimeConfig{PerDeviceProbeHz: 1, PerDeviceBurst: 1}})
 	dev, err := f.AddDevice(1, func(env core.Env) (core.Device, error) {
 		return naive.NewDevice(1, env)
 	})

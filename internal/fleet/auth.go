@@ -5,7 +5,7 @@ package fleet
 // PR 6's hardening (source pinning, replay windows, attempt bitmasks)
 // is heuristic — it stops attackers who cannot spoof the device's
 // address. Authentication makes the defenses cryptographic: with
-// Config.Auth set, every frame the fleet sends carries an
+// RuntimeConfig.AuthKey set, every frame the fleet sends carries an
 // AES-128-CMAC tag (wire v2) and every frame it receives is verified
 // before any engine sees it, so a forged reply, BYE or probe is
 // rejected no matter what source address it claims.
@@ -23,7 +23,7 @@ package fleet
 //   - Rotation never manufactures a verdict. The shard's authPlane
 //     holds the current and previous master; after SetConfig installs a
 //     new key, frames under the old one are still accepted for
-//     RotationGrace (Counters.AuthStaleKey), so in-flight cycles
+//     AuthRotationGrace (Counters.AuthStaleKey), so in-flight cycles
 //     complete across the swap — the same no-false-verdict discipline
 //     drain/rebalance meets. Schedules re-derive lazily: every key
 //     change bumps the shard's epoch, and each node compares its cached
@@ -32,9 +32,9 @@ package fleet
 //     still accepted from a device that has never authenticated — mixed
 //     fleets interoperate during a rollout — but once a device has ever
 //     spoken v2 to this shard, its high-water mark is set and v1 frames
-//     from it are rejected (Counters.AuthDowngraded). AuthConfig.
-//     Require closes the window entirely: no v1 frame is accepted from
-//     anyone.
+//     from it are rejected (Counters.AuthDowngraded). RuntimeConfig.
+//     AuthRequire closes the window entirely: no v1 frame is accepted
+//     from anyone.
 //
 // Key hierarchy: one master secret, HKDF-derived subkeys. Probes and
 // replies use the (control point, device) pair key — both endpoints of
@@ -58,36 +58,9 @@ import (
 	"presence/internal/wire"
 )
 
-// AuthConfig configures frame authentication (wire v2). The zero value
-// disables it: the fleet speaks unauthenticated v1, exactly the
-// pre-auth runtime.
-type AuthConfig struct {
-	// Key is the fleet's master pre-shared secret. Non-empty enables
-	// authentication: every frame sent is signed (wire v2) and every
-	// frame received is verified. Per-pair and per-device subkeys are
-	// HKDF-derived from it, never used raw.
-	Key []byte
-	// KeyFile names a file holding the master secret (whitespace
-	// trimmed), read once by New when Key is empty. probefleet re-reads
-	// it on SIGHUP and pushes the new key through SetConfig — live
-	// rotation without a restart.
-	KeyFile string
-	// Require rejects every unauthenticated v1 frame, not only those
-	// from devices that already spoke v2. Set it once the whole
-	// population is authenticated; leave it unset during a rollout.
-	Require bool
-	// RotationGrace bounds how long the previous master is still
-	// accepted after a key rotation (Counters.AuthStaleKey), so frames
-	// in flight across the swap cannot manufacture a verdict. Zero
-	// means 30 s.
-	RotationGrace time.Duration
-}
-
-// enabled reports whether this config turns authentication on.
-func (a *AuthConfig) enabled() bool { return len(a.Key) > 0 || a.KeyFile != "" }
-
-// LoadAuthKey reads a master secret from a keyfile: the file's content
-// with leading/trailing whitespace trimmed. An empty (or
+// LoadAuthKey reads a master secret from a keyfile — the
+// RuntimeConfig.AuthKey for startup or a rotation push: the file's
+// content with leading/trailing whitespace trimmed. An empty (or
 // whitespace-only) file is an error — a misconfigured rotation must
 // not silently disable authentication.
 func LoadAuthKey(path string) ([]byte, error) {

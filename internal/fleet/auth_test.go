@@ -59,7 +59,7 @@ type authRig struct {
 	dev *memnet.Endpoint
 }
 
-func newAuthRig(t *testing.T, auth fleet.AuthConfig) *authRig {
+func newAuthRig(t *testing.T, auth fleet.RuntimeConfig) *authRig {
 	t.Helper()
 	net := memnet.New(memnet.Faults{})
 	t.Cleanup(func() { net.Close() })
@@ -68,7 +68,7 @@ func newAuthRig(t *testing.T, auth fleet.AuthConfig) *authRig {
 		t.Fatal(err)
 	}
 	transport := fleet.TransportFunc(func(int) (fleet.PacketConn, error) { return net.Listen() })
-	f, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, Auth: auth})
+	f, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, RuntimeConfig: auth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +167,9 @@ func TestAuthEndToEnd(t *testing.T) {
 	net := memnet.New(memnet.Faults{})
 	defer net.Close()
 	transport := fleet.TransportFunc(func(int) (fleet.PacketConn, error) { return net.Listen() })
-	auth := fleet.AuthConfig{Key: authMaster1, Require: true}
+	auth := fleet.RuntimeConfig{AuthKey: authMaster1, AuthRequire: true}
 
-	devFleet, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, Auth: auth})
+	devFleet, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, RuntimeConfig: auth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestAuthEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cpFleet, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, Auth: auth})
+	cpFleet, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, RuntimeConfig: auth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +244,10 @@ func TestAuthEndToEnd(t *testing.T) {
 func TestAuthMixedVersionFleets(t *testing.T) {
 	cases := []struct {
 		name            string
-		devAuth, cpAuth fleet.AuthConfig
+		devAuth, cpAuth fleet.RuntimeConfig
 	}{
-		{name: "v2-device-v1-cp", devAuth: fleet.AuthConfig{Key: authMaster1}},
-		{name: "v1-device-v2-cp", cpAuth: fleet.AuthConfig{Key: authMaster1}},
+		{name: "v2-device-v1-cp", devAuth: fleet.RuntimeConfig{AuthKey: authMaster1}},
+		{name: "v1-device-v2-cp", cpAuth: fleet.RuntimeConfig{AuthKey: authMaster1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -255,7 +255,7 @@ func TestAuthMixedVersionFleets(t *testing.T) {
 			defer net.Close()
 			transport := fleet.TransportFunc(func(int) (fleet.PacketConn, error) { return net.Listen() })
 
-			devFleet, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, Auth: tc.devAuth})
+			devFleet, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, RuntimeConfig: tc.devAuth})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +270,7 @@ func TestAuthMixedVersionFleets(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			cpFleet, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, Auth: tc.cpAuth})
+			cpFleet, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, RuntimeConfig: tc.cpAuth})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -318,7 +318,7 @@ func TestAuthMixedVersionFleets(t *testing.T) {
 // next cycle signs under the new key and an old-key reply after the
 // grace expires is rejected with the pending entry kept.
 func TestAuthRotationGrace(t *testing.T) {
-	rig := newAuthRig(t, fleet.AuthConfig{Key: authMaster1})
+	rig := newAuthRig(t, fleet.RuntimeConfig{AuthKey: authMaster1})
 
 	// Cycle 1 under the original key, completed by an old-fashioned
 	// matching reply: the baseline.
@@ -385,7 +385,7 @@ func TestAuthRotationGrace(t *testing.T) {
 // pending entry survives, and the genuine reply still completes the
 // cycle — forgery cannot starve a cycle into a false verdict.
 func TestAuthTamperRejected(t *testing.T) {
-	rig := newAuthRig(t, fleet.AuthConfig{Key: authMaster1})
+	rig := newAuthRig(t, fleet.RuntimeConfig{AuthKey: authMaster1})
 	probe, cpAddr := rig.readProbe(t)
 
 	frame, err := wire.AppendEncodeFrameAuth(nil, &wire.Frame{
@@ -424,7 +424,7 @@ func TestAuthTamperRejected(t *testing.T) {
 // latches and v1 replies are rejected for good (AuthDowngraded), with
 // the pending entry kept.
 func TestAuthDowngradeHighWater(t *testing.T) {
-	rig := newAuthRig(t, fleet.AuthConfig{Key: authMaster1})
+	rig := newAuthRig(t, fleet.RuntimeConfig{AuthKey: authMaster1})
 
 	// Phase 1: the device still speaks v1 — accepted.
 	probe, cpAddr := rig.readProbe(t)
@@ -462,7 +462,7 @@ func TestAuthDowngradeHighWater(t *testing.T) {
 // TestAuthRequireRejectsV1: in Require mode even a first-contact v1
 // reply is rejected — no rollout window at all.
 func TestAuthRequireRejectsV1(t *testing.T) {
-	rig := newAuthRig(t, fleet.AuthConfig{Key: authMaster1, Require: true})
+	rig := newAuthRig(t, fleet.RuntimeConfig{AuthKey: authMaster1, AuthRequire: true})
 	probe, cpAddr := rig.readProbe(t)
 	rig.replyV1(t, cpAddr, probe.Cycle, probe.Attempt)
 	hardenWaitFor(t, 5*time.Second, "v1 reply rejected", func() bool {
@@ -479,9 +479,9 @@ func TestAuthRequireRejectsV1(t *testing.T) {
 
 // TestAuthConfigValidation pins the config plane's error cases: Require
 // without a key (at construction and via SetConfig), a negative grace,
-// and the keyfile path — read at New, missing and empty files rejected.
+// and LoadAuthKey — content trimmed, missing and empty files rejected.
 func TestAuthConfigValidation(t *testing.T) {
-	if _, err := fleet.New(fleet.Config{Auth: fleet.AuthConfig{Require: true}}); err == nil {
+	if _, err := fleet.New(fleet.Config{RuntimeConfig: fleet.RuntimeConfig{AuthRequire: true}}); err == nil {
 		t.Error("New accepted Require without a key")
 	}
 
@@ -507,16 +507,12 @@ func TestAuthConfigValidation(t *testing.T) {
 	if err := os.WriteFile(path, []byte("  file-master-secret\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	kf, err := fleet.New(fleet.Config{
-		Shards: 1, ListenAddr: "127.0.0.1:0",
-		Auth: fleet.AuthConfig{KeyFile: path},
-	})
+	key, err := fleet.LoadAuthKey(path)
 	if err != nil {
-		t.Fatalf("New with keyfile: %v", err)
+		t.Fatalf("LoadAuthKey: %v", err)
 	}
-	defer kf.Close()
-	if rc, _ := kf.ConfigSnapshot(); string(rc.AuthKey) != "file-master-secret" {
-		t.Errorf("keyfile master = %q, want trimmed file content", rc.AuthKey)
+	if string(key) != "file-master-secret" {
+		t.Errorf("keyfile master = %q, want trimmed file content", key)
 	}
 
 	if _, err := fleet.LoadAuthKey(filepath.Join(dir, "absent.key")); err == nil {

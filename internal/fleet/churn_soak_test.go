@@ -70,11 +70,11 @@ func churnSoak(t *testing.T, seed int64, rotateAuth bool) {
 	net := memnet.New(memnet.Faults{})
 	transport := fleet.TransportFunc(func(int) (fleet.PacketConn, error) { return net.Listen() })
 
-	var auth fleet.AuthConfig
+	var auth fleet.RuntimeConfig
 	if rotateAuth {
-		auth = fleet.AuthConfig{Key: []byte("soak-master-0")}
+		auth = fleet.RuntimeConfig{AuthKey: []byte("soak-master-0")}
 	}
-	devFleet, err := fleet.New(fleet.Config{Shards: 2, Transport: transport, Auth: auth})
+	devFleet, err := fleet.New(fleet.Config{Shards: 2, Transport: transport, RuntimeConfig: auth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func churnSoak(t *testing.T, seed int64, rotateAuth bool) {
 		t.Fatal(err)
 	}
 
-	cpFleet, err := fleet.New(fleet.Config{Shards: 2, Transport: transport, Auth: auth})
+	cpFleet, err := fleet.New(fleet.Config{Shards: 2, Transport: transport, RuntimeConfig: auth})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,9 +181,12 @@ func addNaiveCP(t *testing.T, f *Fleet, id, device ident.NodeID, addr string, pe
 // declared lost no sooner than the full retransmit budget after its
 // cycle began, all measured on the shard clock that stamped both ends.
 func TestClockJumpsKeepTheBudget(t *testing.T) {
-	f, err := New(Config{Shards: 2, FlightRecorder: 1 << 16})
+	f, err := New(Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, s := range f.shards {
+		s.rec = trace.NewRing(1 << 16)
 	}
 	t.Cleanup(func() { f.Close() })
 	// Every 2 ms of wall time the clock leaps 3 ms ahead: whichever read

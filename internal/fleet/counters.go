@@ -62,7 +62,7 @@ type Counters struct {
 	AuthRejected uint64
 	// AuthDowngraded counts unauthenticated v1 frames rejected because
 	// the sender had already spoken v2 (the per-device high-water mark)
-	// or because AuthConfig.Require closes the v1 window entirely.
+	// or because RuntimeConfig.AuthRequire closes the v1 window entirely.
 	AuthDowngraded uint64
 	// HandoffsOut counts frames this shard received but forwarded to the
 	// owning shard, and HandoffsIn counts frames received that way. With
@@ -151,13 +151,14 @@ var CounterDefs = []CounterDef{
 }
 
 // Add adds o into c field by field: shards into a fleet total, or one
-// fleet's total into another's.
-func (c *Counters) Add(o Counters) {
+// fleet's total into another's. o is a pointer so it does not escape
+// through the accessors: summing allocates nothing.
+func (c *Counters) Add(o *Counters) {
 	for _, d := range CounterDefs {
 		if d.Count != nil {
-			*d.Count(c) += *d.Count(&o)
+			*d.Count(c) += *d.Count(o)
 		} else {
-			*d.Level(c) += *d.Level(&o)
+			*d.Level(c) += *d.Level(o)
 		}
 	}
 }

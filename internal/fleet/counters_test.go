@@ -74,7 +74,8 @@ func TestCounterDefsCoverEveryField(t *testing.T) {
 }
 
 // TestCountersAddSumsEveryField fills two values with distinct primes,
-// so a field Add skips, doubles or crosses with a neighbour shows.
+// so a field Add skips, doubles or crosses with a neighbour shows, and
+// pins that summing allocates nothing.
 func TestCountersAddSumsEveryField(t *testing.T) {
 	n := reflect.TypeOf(Counters{}).NumField()
 	var primes []uint64
@@ -96,9 +97,13 @@ func TestCountersAddSumsEveryField(t *testing.T) {
 		setField(&b, i, primes[n+i])
 		setField(&want, i, primes[i]+primes[n+i])
 	}
-	a.Add(b)
+	a.Add(&b)
 	if a != want {
 		t.Fatalf("Add:\n got  %+v\n want %+v", a, want)
+	}
+	// Summing shards into a total must not allocate.
+	if allocs := testing.AllocsPerRun(100, func() { a.Add(&b) }); allocs != 0 {
+		t.Fatalf("Add allocates %.1f times per call, want 0", allocs)
 	}
 }
 

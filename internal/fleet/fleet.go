@@ -170,8 +170,9 @@
 // written under the shard mutex. Fleet.Histograms merges the shards at
 // scrape time; Fleet.FlightSnapshot/WriteFlight dump the recorders;
 // internal/obs serves both over HTTP (/metrics in Prometheus text
-// format, /statusz, /debug/flight). Config.DisableTelemetry and a
-// negative Config.FlightRecorder opt out per plane.
+// format, /statusz, /debug/flight). Both planes are always on; only the
+// hot-path harness (HotPathOptions.DisableTelemetry) runs without them,
+// to measure what they cost.
 //
 // # Runtime administration
 //
@@ -189,19 +190,19 @@
 //
 // # Authenticated frames
 //
-// Config.Auth (AuthConfig) turns on wire v2: every frame the fleet
-// sends carries an AES-128-CMAC tag under a key derived per
-// (control point, device) pair from the configured master secret, and
-// every received v2 frame is verified before dispatch — keys are
-// cached per peer so the hot path signs and verifies without
-// allocating. Pushing a new RuntimeConfig.AuthKey through SetConfig
-// rotates live: the previous key keeps verifying for a grace period
-// (Counters.AuthStaleKey) while senders move to the new epoch. A peer
-// that has spoken v2 is pinned to it by a high-water mark, so
-// stripping tags or replaying old v1 traffic cannot downgrade an
-// authenticated pair (Counters.AuthDowngraded); AuthConfig.Require
-// refuses v1 outright. See auth.go for the key hierarchy and the
-// verification paths.
+// A non-empty RuntimeConfig.AuthKey turns on wire v2: every frame the
+// fleet sends carries an AES-128-CMAC tag under a key derived per
+// (control point, device) pair from the master secret, and every
+// received v2 frame is verified before dispatch — keys are cached per
+// peer so the hot path signs and verifies without allocating. Pushing
+// a new AuthKey through SetConfig rotates live: the previous key keeps
+// verifying for a grace period (Counters.AuthStaleKey) while senders
+// move to the new epoch. A peer that has spoken v2 is pinned to it by
+// a high-water mark, so stripping tags or replaying old v1 traffic
+// cannot downgrade an authenticated pair (Counters.AuthDowngraded);
+// RuntimeConfig.AuthRequire refuses v1 outright. The fleet reads no
+// files: LoadAuthKey turns a keyfile into an AuthKey. See auth.go for
+// the key hierarchy and the verification paths.
 package fleet
 
 import (
@@ -229,24 +230,11 @@ type Config struct {
 	// leave the port to the kernel (":0") when Shards > 1. Default
 	// "127.0.0.1:0".
 	ListenAddr string
-	// TimerTick is the timer-wheel granularity. Zero means 1 ms.
-	TimerTick time.Duration
-	// PendingTTL bounds how long an unanswered (device, cycle) demux
-	// entry survives before the periodic sweep drops it (entries of
-	// completed cycles are removed inline). Zero means 30 s.
-	PendingTTL time.Duration
-	// MaxPeersPerDevice bounds each hosted device's reply-routing table.
-	// Zero means 65536.
-	MaxPeersPerDevice int
-	// SocketBuffer is the requested kernel read/write buffer size per
-	// shard socket, applied best-effort (the OS may clamp it). Zero
-	// means 4 MiB; negative leaves the OS default.
-	SocketBuffer int
 	// Transport supplies the per-shard packet conns. Nil means kernel
 	// UDP sockets bound to ListenAddr — the production path. A custom
 	// transport (internal/memnet) lets test harnesses drive the same
-	// shard loops over a deterministic fake network; ListenAddr and
-	// SocketBuffer are ignored when it is set.
+	// shard loops over a deterministic fake network; ListenAddr is
+	// ignored when it is set.
 	Transport Transport
 	// Batch is the most datagrams one transport call moves: the size of
 	// each shard's pooled receive ring and coalescing send queue. Zero
@@ -273,55 +261,6 @@ type Config struct {
 	// ListenGroup emulates the kernel's flow-hash spread deterministically
 	// — but socket options are the transport's business.
 	ReusePort bool
-	// Harden enables the adversarial defenses. The protocol frames are
-	// unauthenticated, so an on-path attacker can answer for the dead,
-	// say goodbye for the living, or reflect probes off a device; Harden
-	// buys back correctness with receiver-local state only — no wire
-	// change:
-	//
-	//   - Reply source pinning: a reply is accepted only from the probed
-	//     device's address (Counters.RepliesForged otherwise, pending
-	//     entry kept so the genuine reply can still land).
-	//   - Replay window: accepted (device, cycle) keys are remembered for
-	//     ReplayWindow, telling replayed copies (Counters.RepliesReplayed)
-	//     apart from ordinary latecomers (DemuxDrops).
-	//   - BYE source pinning + verification grace: a BYE from an address
-	//     other than the device's is dropped (Counters.ByesForged), and
-	//     even a well-sourced BYE for a healthy device triggers one
-	//     verification probe cycle (core.ProberOptions.VerifyBye) instead
-	//     of instant removal.
-	//   - Per-source probe admission: hosted devices answer each source
-	//     at most PerSourceProbeHz with PerSourceBurst slack; the excess
-	//     of an amplification flood is shed (Counters.ProbesShed).
-	//
-	// Off (the default), the runtime behaves exactly as the paper's
-	// protocols do — one spoofed frame can flip a verdict.
-	Harden bool
-	// ReplayWindow bounds how long an accepted (device, cycle) demux key
-	// is remembered to classify replayed replies. Zero means 5 s. Only
-	// used when Harden is set.
-	ReplayWindow time.Duration
-	// PerSourceProbeHz and PerSourceBurst parameterise the per-source
-	// probe admission token bucket of hosted devices (refill rate in
-	// probes/s and bucket depth). Zero means 15 Hz and 20 — above the
-	// paper's nominal 10 probes/s total DCPP device load even when one
-	// source address carries all of it, so no honest DCPP/SAPP workload
-	// is shed; raise both for protocols without device-controlled load
-	// pinning (the naive baseline grows linearly with population). Only
-	// used when Harden is set.
-	PerSourceProbeHz float64
-	PerSourceBurst   int
-	// PerDeviceProbeHz and PerDeviceBurst parameterise the per-device
-	// outgoing-probe budget — the overload-shedding backstop (see
-	// RuntimeConfig.PerDeviceProbeHz). Zero disables shedding.
-	PerDeviceProbeHz float64
-	PerDeviceBurst   int
-	// AdmissionQueue bounds each shard's admin-command inbox (see
-	// RuntimeConfig.AdmissionQueue). Zero means 1024.
-	AdmissionQueue int
-	// Auth configures frame authentication (wire v2, CMAC-tagged
-	// frames; see AuthConfig and auth.go). The zero value disables it.
-	Auth AuthConfig
 	// Verdicts, if non-nil, receives every terminal presence verdict
 	// (device lost, device bye) any hosted control point reaches. It
 	// fires on the shard event loop under the shard mutex — it must be
@@ -329,18 +268,10 @@ type Config struct {
 	// is the fleet-wide hook admin consumers use where per-CP Listeners
 	// are impractical (control points added over the admin API).
 	Verdicts func(VerdictEvent)
-	// DisableTelemetry turns off the per-shard latency histograms (probe
-	// RTT, detection latency, handoff latency, batch fill, timer-cascade
-	// duration — see telemetry.go). Telemetry is on by default: recording
-	// a sample is a few uncontended atomic adds with no allocation, pinned
-	// inside the 0 allocs/op hot-path gate. The switch exists so the
-	// benchmark's traced hot-* runs can measure exactly what the samples
-	// cost (the fleet.telemetry_ns row).
-	DisableTelemetry bool
-	// FlightRecorder is the per-shard flight-recorder capacity: how many
-	// probe-lifecycle events each shard retains for /debug/flight and
-	// SIGQUIT dumps. Zero means 4096; negative disables recording.
-	FlightRecorder int
+	// RuntimeConfig is the startup value of every setting SetConfig can
+	// change later: it becomes configuration version 1. Its zero value
+	// is the unhardened, unauthenticated paper runtime.
+	RuntimeConfig
 }
 
 func (c *Config) applyDefaults() {
@@ -350,20 +281,8 @@ func (c *Config) applyDefaults() {
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
 	}
-	if c.TimerTick == 0 {
-		c.TimerTick = defaultWheelTick
-	}
-	if c.MaxPeersPerDevice == 0 {
-		c.MaxPeersPerDevice = 65536
-	}
-	if c.SocketBuffer == 0 {
-		c.SocketBuffer = 4 << 20
-	}
 	if c.Batch <= 0 {
 		c.Batch = defaultBatch
-	}
-	if c.FlightRecorder == 0 {
-		c.FlightRecorder = defaultFlightEvents
 	}
 }
 
@@ -583,12 +502,13 @@ type shard struct {
 	// callers whose queued commands will never run.
 	loopDone chan struct{}
 
-	// hist is the shard's latency histogram set (telemetry.go), nil when
-	// Config.DisableTelemetry. Recorded by the loop, snapshotted by
-	// scrapers without the mutex (the cells are padded atomics).
+	// hist is the shard's latency histogram set (telemetry.go), nil only
+	// in the hot-path harness's telemetry-off baseline. Recorded by the
+	// loop, snapshotted by scrapers without the mutex (the cells are
+	// padded atomics).
 	hist *shardHists
-	// rec is the shard's flight recorder, nil when disabled. Written and
-	// snapshotted only under mu.
+	// rec is the shard's flight recorder, nil only where hist is. Written
+	// and snapshotted only under mu.
 	rec *trace.Ring
 }
 
@@ -607,13 +527,13 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.ReusePort && cfg.Shards > MaxRoutedShards {
 		return nil, fmt.Errorf("fleet: ReusePort routing supports at most %d shards, got %d", MaxRoutedShards, cfg.Shards)
 	}
-	if cfg.Auth.KeyFile != "" && len(cfg.Auth.Key) == 0 {
-		key, err := LoadAuthKey(cfg.Auth.KeyFile)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Auth.Key = key
+	rt := cfg.RuntimeConfig
+	rt.applyDefaults()
+	if err := rt.validate(); err != nil {
+		return nil, err
 	}
+	// f.rt is the one live copy; nothing may read a stale one from f.cfg.
+	cfg.RuntimeConfig = RuntimeConfig{}
 	reuseActive := false
 	transport := cfg.Transport
 	if transport == nil {
@@ -624,27 +544,22 @@ func New(cfg Config) (*Fleet, error) {
 		if cfg.ReusePort && reusePortSupported {
 			// One port, Shards sockets: the kernel demultiplexes. A pinned
 			// port is fine here — sharing it is the point.
-			transport = &reusePortTransport{addr: addr, sndRcv: cfg.SocketBuffer}
+			transport = &reusePortTransport{addr: addr}
 			reuseActive = true
 		} else {
 			if addr.Port != 0 && cfg.Shards > 1 {
 				return nil, fmt.Errorf("fleet: ListenAddr %q pins a port; %d shards need \":0\" (or Config.ReusePort on Linux)", cfg.ListenAddr, cfg.Shards)
 			}
-			transport = udpTransport{addr: addr, sndRcv: cfg.SocketBuffer}
+			transport = udpTransport{addr: addr}
 		}
 	}
-	f := &Fleet{cfg: cfg, clock: wallClock(), route: cfg.ReusePort, reusePortActive: reuseActive}
+	f := &Fleet{cfg: cfg, clock: wallClock(), route: cfg.ReusePort, reusePortActive: reuseActive, rt: rt, rtVer: 1}
 	f.deviceShard.Store(-1)
 	f.watchMask = make(map[ident.NodeID]*shardMask)
 	f.dir = make(map[ident.NodeID]*cpNode)
 	f.devices = make(map[ident.NodeID]*deviceNode)
 	f.draining = make([]bool, cfg.Shards)
-	f.rt = runtimeFromConfig(&cfg)
-	if err := f.rt.validate(); err != nil {
-		return nil, err
-	}
-	f.rtVer = 1
-	f.admissionBound.Store(int64(f.rt.AdmissionQueue))
+	f.admissionBound.Store(int64(rt.AdmissionQueue))
 	for i := 0; i < cfg.Shards; i++ {
 		conn, err := transport.Listen(i)
 		if err != nil {
@@ -655,7 +570,7 @@ func New(cfg Config) (*Fleet, error) {
 			fleet:    f,
 			index:    i,
 			conn:     conn,
-			wheel:    newTimerWheel(cfg.TimerTick),
+			wheel:    newTimerWheel(defaultWheelTick),
 			cps:      make(map[ident.NodeID]*cpNode),
 			watchers: make(map[ident.NodeID]map[*cpNode]struct{}),
 			pending:  make(map[uint64]pendingProbe),
@@ -663,14 +578,10 @@ func New(cfg Config) (*Fleet, error) {
 			recvBufs: make([][]byte, cfg.Batch),
 			sendQ:    make([]Datagram, 0, cfg.Batch),
 			loopDone: make(chan struct{}),
+			hist:     &shardHists{},
+			rec:      trace.NewRing(defaultFlightEvents),
 		}
-		s.applyConfigLocked(f.rt) // construction: no lock needed yet
-		if !cfg.DisableTelemetry {
-			s.hist = &shardHists{}
-		}
-		if cfg.FlightRecorder > 0 {
-			s.rec = trace.NewRing(cfg.FlightRecorder)
-		}
+		s.applyConfigLocked(rt) // construction: no lock needed yet
 		s.bconn, s.single = batchConn(conn, cfg.ForceSingleDatagram)
 		for j := range s.recvBufs {
 			s.recvBufs[j] = make([]byte, recvBufSize)
@@ -800,7 +711,7 @@ func (f *Fleet) Snapshot() Snapshot {
 		s.mu.Unlock()
 		c.AdmissionRejected = s.admRejected.Load()
 		snap.Shards[i] = c
-		snap.Total.Add(c)
+		snap.Total.Add(&c)
 	}
 	return snap
 }

@@ -214,7 +214,7 @@ func TestFleetIntraFleetLoopback(t *testing.T) {
 	// The aggregate must equal the per-shard sums.
 	var sum Counters
 	for _, c := range snap.Shards {
-		sum.Add(c)
+		sum.Add(&c)
 	}
 	if sum != snap.Total {
 		t.Fatalf("Total %+v != per-shard sum %+v", snap.Total, sum)
@@ -653,7 +653,7 @@ func TestFleetSnapshotAggregation(t *testing.T) {
 	snap := f.Snapshot()
 	var sum Counters
 	for _, c := range snap.Shards {
-		sum.Add(c)
+		sum.Add(&c)
 	}
 	if sum != snap.Total {
 		t.Fatalf("Total %+v != per-shard sum %+v", snap.Total, sum)

@@ -173,7 +173,7 @@ func TestHardenedByeGrace(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			cpFleet, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, Harden: true})
+			cpFleet, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, RuntimeConfig: fleet.RuntimeConfig{Harden: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +258,7 @@ func newFakeDeviceRig(t *testing.T, harden bool) *fakeDeviceRig {
 		t.Fatal(err)
 	}
 	transport := fleet.TransportFunc(func(int) (fleet.PacketConn, error) { return net.Listen() })
-	f, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, Harden: harden})
+	f, err := fleet.New(fleet.Config{Shards: 1, Transport: transport, RuntimeConfig: fleet.RuntimeConfig{Harden: harden}})
 	if err != nil {
 		t.Fatal(err)
 	}

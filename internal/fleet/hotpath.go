@@ -76,16 +76,15 @@ func NewHotPathBench(opts HotPathOptions) (*HotPathBench, error) {
 		ForceSingleDatagram: opts.ForceSingleDatagram,
 		Transport:           TransportFunc(func(int) (PacketConn, error) { return conn, nil }),
 	}
-	if opts.DisableTelemetry {
-		cfg.DisableTelemetry = true
-		cfg.FlightRecorder = -1
-	}
 	if opts.Auth {
-		cfg.Auth = AuthConfig{Key: hotPathAuthMaster}
+		cfg.AuthKey = hotPathAuthMaster
 	}
 	f, err := New(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if opts.DisableTelemetry {
+		f.shards[0].hist, f.shards[0].rec = nil, nil
 	}
 	// Mark the fleet started without launching the event-loop
 	// goroutine: the harness IS the loop, so every engine call below

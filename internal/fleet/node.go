@@ -500,7 +500,7 @@ func (f *Fleet) AddDevice(id ident.NodeID, build DeviceBuilder) (*Device, error)
 			nd := &deviceNode{
 				shard: sh,
 				id:    id,
-				peers: newPeerTable(f.cfg.MaxPeersPerDevice),
+				peers: newPeerTable(maxPeersPerDevice),
 			}
 			// Keep the per-peer key cache in lockstep with the peer table's
 			// LRU bound.

@@ -38,6 +38,9 @@ type peerEntry struct {
 // as the Note that evicted it. fn must not mutate the table.
 func (t *peerTable) OnEvict(fn func(ident.NodeID)) { t.onEvict = fn }
 
+// maxPeersPerDevice bounds each hosted device's reply-routing table.
+const maxPeersPerDevice = 65536
+
 // newPeerTable returns a table holding at most max peers (max must be
 // positive).
 func newPeerTable(max int) *peerTable {

@@ -29,8 +29,8 @@ import (
 	"presence/internal/trace"
 )
 
-// defaultFlightEvents is the per-shard flight-recorder capacity when
-// Config.FlightRecorder is zero: deep enough to hold the full lifecycle
+// defaultFlightEvents is the per-shard flight-recorder capacity: deep
+// enough to hold the full lifecycle
 // of hundreds of probe cycles, small enough (~4096 × 32 B) to be noise
 // next to the demux tables.
 const defaultFlightEvents = 4096
@@ -86,11 +86,11 @@ func (h *Histograms) Merge(o Histograms) {
 }
 
 // TelemetryEnabled reports whether the latency histograms are being
-// recorded (Config.DisableTelemetry unset).
+// recorded: always, except in the hot-path harness's baseline.
 func (f *Fleet) TelemetryEnabled() bool { return f.shards[0].hist != nil }
 
 // FlightRecorderEnabled reports whether probe-lifecycle events are
-// being recorded (Config.FlightRecorder ≥ 0).
+// being recorded: always, except in the hot-path harness's baseline.
 func (f *Fleet) FlightRecorderEnabled() bool { return f.shards[0].rec != nil }
 
 // Histograms returns the merged cross-shard histogram snapshot. It

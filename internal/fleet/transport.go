@@ -135,19 +135,21 @@ func (f TransportFunc) Listen(shard int) (PacketConn, error) { return f(shard) }
 // udpTransport is the default Transport: one kernel UDP socket per
 // shard, bound to the configured address.
 type udpTransport struct {
-	addr   *net.UDPAddr
-	sndRcv int // socket buffer request; <= 0 leaves the OS default
+	addr *net.UDPAddr
 }
+
+// socketBuffer is the kernel read/write buffer size requested per shard
+// socket, best effort (the OS may clamp it): deep enough to absorb a
+// timer cascade's burst of replies while the loop is busy.
+const socketBuffer = 4 << 20
 
 func (t udpTransport) Listen(shard int) (PacketConn, error) {
 	conn, err := net.ListenUDP("udp", t.addr)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: shard %d listen: %w", shard, err)
 	}
-	if t.sndRcv > 0 {
-		conn.SetReadBuffer(t.sndRcv)  //nolint:errcheck // best effort
-		conn.SetWriteBuffer(t.sndRcv) //nolint:errcheck // best effort
-	}
+	conn.SetReadBuffer(socketBuffer)  //nolint:errcheck // best effort
+	conn.SetWriteBuffer(socketBuffer) //nolint:errcheck // best effort
 	// newUDPBatchConn is platform-specific: recvmmsg/sendmmsg on Linux
 	// (transport_linux.go), the plain conn elsewhere
 	// (transport_fallback.go) — the shard then adapts it with the
@@ -166,9 +168,8 @@ func (t udpTransport) Listen(shard int) (PacketConn, error) {
 // to udpTransport otherwise. Listen calls are sequential (New's loop),
 // so bound needs no lock.
 type reusePortTransport struct {
-	addr   *net.UDPAddr
-	sndRcv int
-	bound  string // concrete shared address after the first Listen
+	addr  *net.UDPAddr
+	bound string // concrete shared address after the first Listen
 }
 
 func (t *reusePortTransport) Listen(shard int) (PacketConn, error) {
@@ -183,10 +184,8 @@ func (t *reusePortTransport) Listen(shard int) (PacketConn, error) {
 	if t.bound == "" {
 		t.bound = conn.LocalAddr().String()
 	}
-	if t.sndRcv > 0 {
-		conn.SetReadBuffer(t.sndRcv)  //nolint:errcheck // best effort
-		conn.SetWriteBuffer(t.sndRcv) //nolint:errcheck // best effort
-	}
+	conn.SetReadBuffer(socketBuffer)  //nolint:errcheck // best effort
+	conn.SetWriteBuffer(socketBuffer) //nolint:errcheck // best effort
 	return newUDPBatchConn(udpPacketConn{conn}), nil
 }
 

@@ -58,9 +58,6 @@ type timerWheel struct {
 }
 
 func newTimerWheel(tick time.Duration) *timerWheel {
-	if tick <= 0 {
-		tick = defaultWheelTick
-	}
 	w := &timerWheel{tick: tick}
 	for l := range w.slots {
 		for i := range w.slots[l] {

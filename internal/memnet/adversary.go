@@ -40,7 +40,7 @@ func (w Window) contains(at time.Duration) bool {
 // naming the device, source-spoofed as the device's own address, back
 // at the prober. Against an unhardened runtime one such frame removes
 // every control point hosted on the receiving socket; a hardened
-// runtime (fleet Config.Harden) answers with a verification probe
+// runtime (fleet RuntimeConfig.Harden) answers with a verification probe
 // instead and keeps the device PRESENT when it still replies.
 type ByeSpoofer struct {
 	// Device and DeviceAddr name the victim device (frame From field

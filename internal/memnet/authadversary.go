@@ -148,7 +148,7 @@ func (a *BitFlipper) Process(at time.Duration, from, to netip.AddrPort, frame []
 // genuine content; nothing about the frame itself is wrong. Only the
 // receiver's negotiation policy can refuse it: the per-device v2
 // high-water mark (the sender has spoken v2, so v1 from it is a
-// downgrade) or AuthConfig.Require. Every stripped frame a fleet
+// downgrade) or RuntimeConfig.AuthRequire. Every stripped frame a fleet
 // receives must land in Counters.AuthDowngraded.
 type TagStripper struct {
 	DeviceAddr netip.AddrPort

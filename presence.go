@@ -214,8 +214,8 @@ func RenderPlot(series []*TimeSeries, opts PlotOptions) string {
 // FleetConfig.ForceSingleDatagram) a portable one-datagram-per-call
 // fallback carries the same traffic byte for byte.
 type (
-	// FleetConfig assembles a Fleet (shards, listen address, timer
-	// tick, transport batch).
+	// FleetConfig assembles a Fleet (shards, listen address, transport
+	// batch) and embeds the startup FleetRuntimeConfig.
 	FleetConfig = fleet.Config
 	// Fleet hosts protocol engines across shards.
 	Fleet = fleet.Fleet
@@ -229,11 +229,13 @@ type (
 	FleetCounters = fleet.Counters
 	// FleetSnapshot aggregates per-shard counters.
 	FleetSnapshot = fleet.Snapshot
-	// FleetRuntimeConfig carries every fleet knob changeable while the
-	// fleet runs (Fleet.SetConfig / Fleet.ConfigSnapshot): harden
-	// toggles, replay/pending windows, per-device probe budgets, the
-	// admin-command admission bound and the frame-authentication key
-	// (pushing a new AuthKey rotates live, with a dual-key grace).
+	// FleetRuntimeConfig carries every fleet setting changeable while
+	// the fleet runs (Fleet.SetConfig / Fleet.ConfigSnapshot), and is
+	// embedded in FleetConfig as its startup value: harden toggles,
+	// replay/pending windows, per-device probe budgets, the
+	// admin-command admission bound and wire v2 frame authentication
+	// (a non-empty AuthKey CMAC-tags every frame, AuthRequire refuses
+	// v1; pushing a new AuthKey rotates live, with a dual-key grace).
 	FleetRuntimeConfig = fleet.RuntimeConfig
 	// FleetVerdictEvent is one terminal presence verdict, delivered to
 	// FleetConfig.Verdicts.
@@ -244,11 +246,6 @@ type (
 	FleetTransport = fleet.Transport
 	// FleetPacketConn is the single-datagram transport contract.
 	FleetPacketConn = fleet.PacketConn
-	// FleetAuthConfig enables wire v2 frame authentication: a master
-	// key (inline or from a file) every frame is CMAC-tagged under,
-	// and optionally Require to refuse unauthenticated v1 frames.
-	// Runtime rotation goes through FleetRuntimeConfig.AuthKey.
-	FleetAuthConfig = fleet.AuthConfig
 	// FleetBatchPacketConn is the batched transport contract: a
 	// PacketConn that moves []FleetDatagram per call; the fleet uses it
 	// automatically when a transport provides it.
@@ -309,8 +306,8 @@ func NewFleetSAPPControlPoint(f *Fleet, cfg FleetCPConfig, policy SAPPCPConfig, 
 }
 
 // LoadFleetAuthKey reads a frame-authentication master key from a
-// keyfile (surrounding whitespace trimmed), for FleetAuthConfig.Key or
-// a FleetRuntimeConfig.AuthKey rotation push.
+// keyfile (surrounding whitespace trimmed), for FleetRuntimeConfig.AuthKey
+// at startup or in a rotation push.
 func LoadFleetAuthKey(path string) ([]byte, error) { return fleet.LoadAuthKey(path) }
 
 // Telemetry plane (see internal/metrics, internal/obs and the fleet's
