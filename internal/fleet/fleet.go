@@ -746,9 +746,10 @@ func pendKey(device ident.NodeID, cycle uint32) uint64 {
 	return uint64(device)<<32 | uint64(cycle)
 }
 
-// recvBufSize comfortably holds any protocol frame (max 31 bytes) with
-// room for oversized junk to be received whole and rejected by the
-// decoder rather than truncated into a different decode error.
+// recvBufSize comfortably holds any protocol frame (at most
+// wire.MaxFrameSize bytes) with room for oversized junk to be received
+// whole and rejected by the decoder rather than truncated into a
+// different decode error.
 const recvBufSize = 2048
 
 // loop is the shard's event loop: advance the wheel, fire due alarms,

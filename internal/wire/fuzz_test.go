@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 	"time"
@@ -18,6 +21,12 @@ import (
 // For v1 frames the boxed Decode path must agree with the flat path;
 // for v2 frames it must refuse with ErrAuthFrame rather than return an
 // unverified message.
+//
+// The identity cannot see a checksum that is wrong the same way in
+// encode and decode, so v1 input also meets an independent oracle:
+// once past the length and magic checks, DecodeFrame reports
+// ErrBadChecksum exactly when crc32.ChecksumIEEE of the body differs
+// from the trailer.
 func FuzzDecode(f *testing.F) {
 	seeds := []core.Message{
 		core.ProbeMsg{From: 7, Cycle: 42, Attempt: 1},
@@ -71,7 +80,15 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var fr Frame
-		if err := DecodeFrame(b, &fr); err != nil {
+		err := DecodeFrame(b, &fr)
+		if len(b) >= headerSize+crcSize && binary.BigEndian.Uint16(b) == Magic && b[2] == Version {
+			body := b[:len(b)-crcSize]
+			wantBad := crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(b[len(body):])
+			if gotBad := errors.Is(err, ErrBadChecksum); gotBad != wantBad {
+				t.Fatalf("v1 frame %x: DecodeFrame err = %v, stdlib CRC-32 mismatch = %v", b, err, wantBad)
+			}
+		}
+		if err != nil {
 			if fr.Kind != KindInvalid {
 				t.Fatalf("rejected frame left Kind %v", fr.Kind)
 			}

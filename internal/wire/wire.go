@@ -30,6 +30,13 @@
 // v1-only — it has no key plumbing, and silently accepting
 // unverified-but-authenticated frames would be a downgrade.
 //
+// The v1 trailer is plain IEEE CRC-32 (crc32.ChecksumIEEE), the same
+// bytes any IEEE CRC-32 implementation computes. Probes, empty
+// replies and BYEs have 13-byte bodies, too short for hash/crc32's
+// fast kernel, so checksum.go serves that one length from
+// position-indexed tables built from, and tested against, the standard
+// library; every other length goes to the standard library directly.
+//
 // Every frame fits comfortably in one UDP datagram (max 45 bytes), in
 // keeping with the protocol's "small computing devices" ambition.
 package wire
@@ -38,7 +45,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"time"
 
 	"presence/internal/core"
@@ -193,8 +199,7 @@ func AppendEncodeFrame(dst []byte, f *Frame) ([]byte, error) {
 	if version == VersionAuth {
 		return append(out, f.Tag[:]...), nil
 	}
-	crc := crc32.ChecksumIEEE(out[start:])
-	return binary.BigEndian.AppendUint32(out, crc), nil
+	return binary.BigEndian.AppendUint32(out, checksum(out[start:])), nil
 }
 
 // AppendEncodeFrameAuth serialises one flat Frame as a v2 frame with a
@@ -333,7 +338,7 @@ func DecodeFrame(b []byte, f *Frame) error {
 	switch b[2] {
 	case Version:
 		body, crcBytes := b[:len(b)-crcSize], b[len(b)-crcSize:]
-		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcBytes) {
+		if checksum(body) != binary.BigEndian.Uint32(crcBytes) {
 			return ErrBadChecksum
 		}
 		payload = body[headerSize:]

@@ -168,6 +168,9 @@ func TestEveryBitFlipDetected(t *testing.T) {
 		core.ReplyMsg{From: 1, Cycle: 9, Attempt: 1, Payload: core.SAPPReply{ProbeCount: 1e15, LastProbers: [2]ident.NodeID{8, 15}}},
 		core.ReplyMsg{From: 1, Cycle: 3, Payload: core.DCPPReply{Wait: time.Second}},
 		core.LeaveNotice{Device: 1, Origin: 6, Seq: 99, TTL: 4},
+		core.ReplyMsg{From: 3, Cycle: 2, Attempt: 2, Payload: core.EmptyReply{}},
+		core.ByeMsg{From: 250},
+		core.AnnounceMsg{From: 9, MaxAge: 1800 * time.Second},
 	}
 	for _, msg := range msgs {
 		b, err := Encode(msg)
@@ -254,6 +257,23 @@ func BenchmarkEncodeProbe(b *testing.B) {
 		var err error
 		buf, err = AppendEncode(buf[:0], msg)
 		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeProbe times the flat decode of a probe, the 13-byte
+// body the checksum kernel serves and the frame hot-plain decodes most.
+func BenchmarkDecodeProbe(b *testing.B) {
+	frame, err := Encode(core.ProbeMsg{From: 7, Cycle: 42, Attempt: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var f Frame
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := DecodeFrame(frame, &f); err != nil {
 			b.Fatal(err)
 		}
 	}
