@@ -5,13 +5,11 @@
 // Usage:
 //
 //	probebench [-scale paper|short] [-seed N] [-out DIR] [-only ID[,ID...]] [-plot]
-//	probebench -scenario NAME|FILE [-seed N] [-out DIR] [-plot]
-//	probebench -list | -list-scenarios
+//	probebench -list
 //
 // The defaults reproduce EXPERIMENTS.md: paper scale, seed 2005, output
-// under ./out. With -scenario, one declarative scenario (registered name
-// or JSON file, see internal/scenario) runs instead of the suite and is
-// summarised as a report.
+// under ./out. One declarative scenario (a registered name or a JSON
+// file, see internal/scenario) runs with cmd/probesim instead.
 //
 // probebench reproduces artefacts; it does not measure the runtime.
 // Performance numbers come from the benchmark of record (bench/, run
@@ -30,7 +28,6 @@ import (
 
 	"presence/internal/asciiplot"
 	"presence/internal/experiments"
-	"presence/internal/scenario"
 )
 
 func main() {
@@ -49,8 +46,6 @@ func run(args []string, out io.Writer) error {
 		only  = fs.String("only", "", "comma-separated experiment ids (default: all)")
 		plot  = fs.Bool("plot", false, "render recorded series as ASCII plots on stdout")
 		list  = fs.Bool("list", false, "list experiment ids and exit")
-		scen  = fs.String("scenario", "", "run one declarative scenario (name or JSON file) instead of the experiment suite")
-		lscen = fs.Bool("list-scenarios", false, "list registered scenario names and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -60,15 +55,6 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "%-18s %s (%s)\n", e.ID, e.Title, e.Artefact)
 		}
 		return nil
-	}
-	if *lscen {
-		for _, s := range scenario.All() {
-			fmt.Fprintf(out, "%-20s %s\n", s.Name, s.Description)
-		}
-		return nil
-	}
-	if *scen != "" {
-		return runScenario(fs, out, *scen, *seed, *dir, *plot)
 	}
 	s := experiments.Scale(*scale)
 	if !s.Valid() {
@@ -97,10 +83,19 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		if err := emit(out, rep, *dir, *plot); err != nil {
-			return err
+		text := rep.Format()
+		fmt.Fprintln(out, text)
+		if *plot && len(rep.Series) > 0 {
+			fmt.Fprintln(out, asciiplot.Render(rep.Series, asciiplot.Options{
+				Title: rep.Title, Width: 100, Height: 24,
+			}))
 		}
-		report.WriteString(rep.Format())
+		if *dir != "" {
+			if err := rep.WriteSeries(*dir); err != nil {
+				return err
+			}
+		}
+		report.WriteString(text)
 		report.WriteString("\n")
 		fmt.Fprintf(out, "    (%s)\n\n", time.Since(t0).Round(time.Millisecond))
 	}
@@ -117,49 +112,4 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "report written to %s\n", path)
 	return nil
-}
-
-// runScenario runs one declarative scenario as a report. The suite's
-// own flags are rejected rather than ignored: the scenario defines its
-// own horizon and is not an experiment id.
-func runScenario(fs *flag.FlagSet, out io.Writer, name string, seed uint64, dir string, plot bool) error {
-	var conflict error
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "scale" || f.Name == "only" {
-			conflict = fmt.Errorf("-%s applies to the experiment suite, not to -scenario (the scenario defines its own horizon)", f.Name)
-		}
-	})
-	if conflict != nil {
-		return conflict
-	}
-	spec, err := scenario.Resolve(name)
-	if err != nil {
-		return err
-	}
-	rep, err := experiments.ScenarioReport(spec, seed)
-	if err != nil {
-		return err
-	}
-	if err := emit(out, rep, dir, plot); err != nil {
-		return err
-	}
-	if dir != "" {
-		fmt.Fprintf(out, "series written under %s\n", dir)
-	}
-	return nil
-}
-
-// emit prints one report, plots its series when asked and writes them
-// under dir unless dir is empty.
-func emit(out io.Writer, rep *experiments.Report, dir string, plot bool) error {
-	fmt.Fprintln(out, rep.Format())
-	if plot && len(rep.Series) > 0 {
-		fmt.Fprintln(out, asciiplot.Render(rep.Series, asciiplot.Options{
-			Title: rep.Title, Width: 100, Height: 24,
-		}))
-	}
-	if dir == "" {
-		return nil
-	}
-	return rep.WriteSeries(dir)
 }

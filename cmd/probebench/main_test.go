@@ -64,64 +64,13 @@ func TestRejectsBadInputs(t *testing.T) {
 	if err := run([]string{"-only", "no-such-id"}, &out); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if err := run([]string{"-scenario", "fig5-uniform-churn", "-scale", "short"}, &out); err == nil {
-		t.Error("-scenario with -scale accepted")
-	}
-	// The measurement modes moved to bench/ and to go test names; their
-	// flags fail loudly instead of being ignored.
-	for _, retired := range []string{"-json", "-compare", "-fleet", "-conformance", "-adversarial"} {
+	// The measurement modes moved to bench/ and to go test names, and a
+	// single scenario runs under probesim; their flags fail loudly
+	// instead of being ignored.
+	for _, retired := range []string{"-json", "-compare", "-fleet", "-conformance", "-adversarial",
+		"-scenario=fig5-uniform-churn", "-list-scenarios"} {
 		if err := run([]string{"-scale", "short", "-only", "ext-naive-load", "-out", "", retired}, &out); err == nil {
 			t.Errorf("retired flag %s accepted", retired)
-		}
-	}
-}
-
-func TestListScenariosAndScenarioRun(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-list-scenarios"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"fig5-uniform-churn", "flash-crowd", "diurnal", "bursty-loss"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("-list-scenarios missing %q:\n%s", want, out.String())
-		}
-	}
-
-	// Run one scenario from a JSON file and check the report plus the
-	// written series.
-	dir := t.TempDir()
-	spec := `{"name":"mini-churn","protocol":"dcpp","horizon":"1m0s",` +
-		`"population":{"uniform_churn":{"min":1,"max":10,"rate":0.1}}}`
-	path := filepath.Join(dir, "mini.json")
-	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	outDir := filepath.Join(dir, "series")
-	if err := run([]string{"-scenario", path, "-seed", "5", "-out", outDir}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "scenario-mini-churn") || !strings.Contains(out.String(), "load_mean") {
-		t.Fatalf("scenario report missing:\n%s", out.String())
-	}
-	dats, err := filepath.Glob(filepath.Join(outDir, "scenario-mini-churn_*.dat"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dats) != 2 {
-		t.Fatalf("wrote %d .dat files, want load + #CPs", len(dats))
-	}
-	if err := run([]string{"-scenario", "no-such-scenario"}, &out); err == nil {
-		t.Fatal("unknown scenario accepted")
-	}
-	// Suite flags are rejected, not silently ignored, in scenario mode.
-	for _, args := range [][]string{
-		{"-scenario", "flash-crowd", "-scale", "short"},
-		{"-scenario", "flash-crowd", "-only", "fig5-dcpp-churn"},
-		{"-scenario", "flash-crowd", "-json"},
-	} {
-		if err := run(args, &out); err == nil {
-			t.Errorf("args %v accepted, want conflict error", args)
 		}
 	}
 }

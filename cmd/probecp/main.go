@@ -17,9 +17,7 @@ import (
 	"time"
 
 	"presence/internal/core"
-	"presence/internal/core/dcpp"
-	"presence/internal/core/naive"
-	"presence/internal/core/sapp"
+	"presence/internal/core/protocol"
 	"presence/internal/fleet"
 	"presence/internal/ident"
 )
@@ -79,7 +77,7 @@ func run(args []string) error {
 		device   = fs.String("device", "127.0.0.1:9300", "device UDP address")
 		deviceID = fs.Uint("device-id", 1, "device node id")
 		id       = fs.Uint("id", 2, "this control point's node id")
-		protocol = fs.String("protocol", "dcpp", "protocol: sapp, dcpp or naive")
+		proto    = fs.String("protocol", "dcpp", "protocol: sapp, dcpp or naive")
 		period   = fs.Duration("period", time.Second, "naive probe period")
 		restart  = fs.Bool("restart", false, "keep probing after the device is lost")
 		verbose  = fs.Bool("v", false, "log every successful cycle")
@@ -87,20 +85,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var (
-		policy core.DelayPolicy
-		err    error
-	)
-	switch *protocol {
-	case "dcpp":
-		policy, err = dcpp.NewPolicy(dcpp.PolicyConfig{})
-	case "sapp":
-		policy, err = sapp.NewPolicy(sapp.DefaultCPConfig())
-	case "naive":
-		policy, err = naive.NewPolicy(*period)
-	default:
-		return fmt.Errorf("unknown protocol %q", *protocol)
-	}
+	policy, err := protocol.Name(*proto).NewPolicy(protocol.Params{NaivePeriod: *period})
 	if err != nil {
 		return err
 	}
@@ -123,7 +108,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("probecp: monitoring device %d at %s via %s\n", *deviceID, *device, *protocol)
+	fmt.Printf("probecp: monitoring device %d at %s via %s\n", *deviceID, *device, *proto)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -18,8 +18,7 @@ import (
 
 	"presence/internal/core"
 	"presence/internal/core/dcpp"
-	"presence/internal/core/naive"
-	"presence/internal/core/sapp"
+	"presence/internal/core/protocol"
 	"presence/internal/fleet"
 	"presence/internal/ident"
 )
@@ -36,7 +35,7 @@ func run(args []string) error {
 	var (
 		listen     = fs.String("listen", "127.0.0.1:9300", "UDP listen address")
 		id         = fs.Uint("id", 1, "device node id")
-		protocol   = fs.String("protocol", "dcpp", "protocol: sapp, dcpp or naive")
+		proto      = fs.String("protocol", "dcpp", "protocol: sapp, dcpp or naive")
 		minGap     = fs.Duration("min-gap", dcpp.DefaultMinGap, "DCPP δ_min (inverse nominal load)")
 		minCPDelay = fs.Duration("min-cp-delay", dcpp.DefaultMinCPDelay, "DCPP d_min (inverse max CP frequency)")
 	)
@@ -44,21 +43,9 @@ func run(args []string) error {
 		return err
 	}
 	devID := ident.NodeID(id64(*id))
-	var build fleet.DeviceBuilder
-	switch *protocol {
-	case "dcpp":
-		cfg := dcpp.DefaultDeviceConfig()
-		cfg.MinGap, cfg.MinCPDelay = *minGap, *minCPDelay
-		build = func(env core.Env) (core.Device, error) { return dcpp.NewDevice(devID, env, cfg) }
-	case "sapp":
-		build = func(env core.Env) (core.Device, error) {
-			return sapp.NewDevice(devID, env, sapp.DefaultDeviceConfig())
-		}
-	case "naive":
-		build = func(env core.Env) (core.Device, error) { return naive.NewDevice(devID, env) }
-	default:
-		return fmt.Errorf("unknown protocol %q", *protocol)
-	}
+	name := protocol.Name(*proto)
+	params := protocol.Params{DCPPDevice: dcpp.DeviceConfig{MinGap: *minGap, MinCPDelay: *minCPDelay}}
+	build := func(env core.Env) (core.Device, error) { return name.NewDevice(devID, env, params) }
 	f, err := fleet.New(fleet.Config{Shards: 1, ListenAddr: *listen})
 	if err != nil {
 		return err
@@ -71,7 +58,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("probed: %s device %v listening on %s\n", *protocol, devID, dev.Addr())
+	fmt.Printf("probed: %s device %v listening on %s\n", name, devID, dev.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -85,8 +85,7 @@ import (
 
 	"presence/internal/core"
 	"presence/internal/core/dcpp"
-	"presence/internal/core/naive"
-	"presence/internal/core/sapp"
+	"presence/internal/core/protocol"
 	"presence/internal/fleet"
 	"presence/internal/ident"
 	"presence/internal/obs"
@@ -109,13 +108,11 @@ type options struct {
 	cps         int
 	shards      int
 	protocol    string
-	period      time.Duration
+	params      protocol.Params
 	rate        float64
 	loopback    int
 	device      string
 	deviceID    uint
-	minGap      time.Duration
-	minCPDelay  time.Duration
 	duration    time.Duration
 	interval    time.Duration
 	joinRamp    time.Duration
@@ -136,12 +133,12 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 	fs.IntVar(&o.cps, "cps", 1000, "number of hosted control points")
 	fs.IntVar(&o.shards, "shards", 0, "shard count (0 = GOMAXPROCS)")
 	fs.StringVar(&o.protocol, "protocol", "dcpp", "protocol: sapp, dcpp or naive")
-	fs.DurationVar(&o.period, "period", time.Second, "naive probe period")
+	fs.DurationVar(&o.params.NaivePeriod, "period", time.Second, "naive probe period")
 	fs.IntVar(&o.loopback, "loopback", 1, "host this many loopback devices in-process (0 with -device)")
 	fs.StringVar(&o.device, "device", "", "external device UDP address (disables loopback)")
 	fs.UintVar(&o.deviceID, "device-id", 1, "external device node id")
-	fs.DurationVar(&o.minGap, "min-gap", dcpp.DefaultMinGap, "DCPP δ_min for loopback devices")
-	fs.DurationVar(&o.minCPDelay, "min-cp-delay", dcpp.DefaultMinCPDelay, "DCPP d_min for loopback devices")
+	fs.DurationVar(&o.params.DCPPDevice.MinGap, "min-gap", dcpp.DefaultMinGap, "DCPP δ_min for loopback devices")
+	fs.DurationVar(&o.params.DCPPDevice.MinCPDelay, "min-cp-delay", dcpp.DefaultMinCPDelay, "DCPP d_min for loopback devices")
 	fs.DurationVar(&o.duration, "duration", 0, "run time (0 = until SIGINT/SIGTERM)")
 	fs.DurationVar(&o.interval, "interval", time.Second, "live stats interval")
 	fs.DurationVar(&o.joinRamp, "join-ramp", 0, "spread CP joins over this long (0 = 200µs per CP, negative disables)")
@@ -170,9 +167,10 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 	if o.rate < 0 {
 		return fmt.Errorf("-rate %g must be non-negative", o.rate)
 	}
+	proto := protocol.Name(o.protocol)
 	if o.rate > 0 {
-		o.protocol = "naive"
-		o.period = time.Duration(float64(time.Second) / o.rate)
+		proto = protocol.Naive
+		o.params.NaivePeriod = time.Duration(float64(time.Second) / o.rate)
 	}
 	if o.joinRamp == 0 {
 		o.joinRamp = fleet.DefaultJoinRamp(o.cps)
@@ -268,25 +266,23 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		}
 		for i := 0; i < o.loopback; i++ {
 			id := ids.Next()
-			build, err := deviceBuilder(o, id)
-			if err != nil {
-				return err
-			}
-			dev, err := devFleet.AddDevice(id, build)
+			dev, err := devFleet.AddDevice(id, func(env core.Env) (core.Device, error) {
+				return proto.NewDevice(id, env, o.params)
+			})
 			if err != nil {
 				return err
 			}
 			targets = append(targets, target{id: id, addr: dev.Addr()})
 		}
 		fmt.Fprintf(out, "probefleet: %d loopback %s device(s) up, first at %s\n",
-			o.loopback, o.protocol, targets[0].addr)
+			o.loopback, proto, targets[0].addr)
 	}
 
 	fmt.Fprintf(out, "probefleet: joining %d %s control points on %d shard(s) over %v\n",
-		o.cps, o.protocol, cpFleet.Shards(), o.joinRamp.Round(time.Millisecond))
+		o.cps, proto, cpFleet.Shards(), o.joinRamp.Round(time.Millisecond))
 	pacer := fleet.NewJoinPacer(o.cps, o.joinRamp)
 	for i := 0; i < o.cps; i++ {
-		policy, err := cpPolicy(o)
+		policy, err := proto.NewPolicy(o.params)
 		if err != nil {
 			return err
 		}
@@ -348,7 +344,7 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 				churnIDs = churnIDs[1:]
 				churnOps++
 			}
-			policy, err := cpPolicy(o)
+			policy, err := proto.NewPolicy(o.params)
 			if err != nil {
 				return err
 			}
@@ -404,36 +400,6 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		case <-timeout:
 			return finalDump(out, cpFleet, devFleet)
 		}
-	}
-}
-
-func deviceBuilder(o options, id ident.NodeID) (fleet.DeviceBuilder, error) {
-	switch o.protocol {
-	case "dcpp":
-		cfg := dcpp.DefaultDeviceConfig()
-		cfg.MinGap, cfg.MinCPDelay = o.minGap, o.minCPDelay
-		return func(env core.Env) (core.Device, error) { return dcpp.NewDevice(id, env, cfg) }, nil
-	case "sapp":
-		return func(env core.Env) (core.Device, error) {
-			return sapp.NewDevice(id, env, sapp.DefaultDeviceConfig())
-		}, nil
-	case "naive":
-		return func(env core.Env) (core.Device, error) { return naive.NewDevice(id, env) }, nil
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", o.protocol)
-	}
-}
-
-func cpPolicy(o options) (core.DelayPolicy, error) {
-	switch o.protocol {
-	case "dcpp":
-		return dcpp.NewPolicy(dcpp.PolicyConfig{})
-	case "sapp":
-		return sapp.NewPolicy(sapp.DefaultCPConfig())
-	case "naive":
-		return naive.NewPolicy(o.period)
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", o.protocol)
 	}
 }
 

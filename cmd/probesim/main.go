@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"presence/internal/asciiplot"
+	"presence/internal/core/protocol"
 	"presence/internal/scenario"
 	"presence/internal/simnet"
 	"presence/internal/simrun"
@@ -40,7 +41,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("probesim", flag.ContinueOnError)
 	var (
-		protocol  = fs.String("protocol", "dcpp", "protocol: sapp, dcpp or naive")
+		proto     = fs.String("protocol", "dcpp", "protocol: sapp, dcpp or naive")
 		cps       = fs.Int("cps", 20, "number of control points")
 		duration  = fs.Duration("duration", 10*time.Minute, "simulated horizon")
 		seed      = fs.Uint64("seed", 1, "simulation seed")
@@ -147,7 +148,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-dump-scenario requires -scenario")
 		}
 		cfg := simrun.Config{
-			Protocol:       simrun.Protocol(*protocol),
+			Protocol:       protocol.Name(*proto),
 			Seed:           *seed,
 			Devices:        *devices,
 			RecordCPSeries: false,
@@ -211,6 +212,7 @@ func run(args []string, out io.Writer) error {
 	c := w.Net().Counters()
 	fmt.Fprintf(out, "net counters    sent %d delivered %d lost %d overflowed %d unroutable %d\n",
 		c.Sent, c.Delivered, c.LostInFlight, c.Overflowed, c.Unroutable)
+	fmt.Fprintf(out, "active cps      mean %.3f (time-weighted)\n", w.CPCountStats().Mean())
 	freqs := w.CPFrequencies()
 	if len(freqs) > 0 {
 		lo, hi := freqs[0], freqs[len(freqs)-1]

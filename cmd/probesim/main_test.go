@@ -84,7 +84,7 @@ func TestScenarioByName(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := out.String()
-	for _, want := range []string{"scenario        fig5-uniform-churn", "protocol        dcpp", "device load"} {
+	for _, want := range []string{"scenario        fig5-uniform-churn", "protocol        dcpp", "device load", "active cps      mean"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("output missing %q:\n%s", want, text)
 		}

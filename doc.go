@@ -24,8 +24,7 @@
 //     flash crowd, Markov on/off sessions, heavy-tailed lifetimes,
 //     diurnal arrivals), the network's loss/delay models and a horizon,
 //     compiles to the simulation runtime, and round-trips through JSON
-//     so scenarios live in files (probesim -scenario, probebench
-//     -scenario);
+//     so scenarios live in files (probesim -scenario runs one);
 //   - the full experiment suite regenerating every table and figure of
 //     the paper's evaluation (see internal/experiments, cmd/probebench
 //     and EXPERIMENTS.md, which catalogues every experiment and

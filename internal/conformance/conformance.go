@@ -66,9 +66,7 @@ import (
 	"time"
 
 	"presence/internal/core"
-	"presence/internal/core/dcpp"
-	"presence/internal/core/naive"
-	"presence/internal/core/sapp"
+	"presence/internal/core/protocol"
 	"presence/internal/fleet"
 	"presence/internal/ident"
 	"presence/internal/memnet"
@@ -509,38 +507,6 @@ const deviceID ident.NodeID = 1
 
 func cpID(idx int) ident.NodeID { return ident.NodeID(1000 + idx) }
 
-// newCPPolicy builds the protocol policy for one fleet CP from the
-// compiled simulator config, so both runtimes share parameters.
-func newCPPolicy(cfg simrun.Config) (core.DelayPolicy, error) {
-	switch cfg.Protocol {
-	case simrun.ProtocolSAPP:
-		return sapp.NewPolicy(cfg.SAPPCP)
-	case simrun.ProtocolDCPP:
-		return dcpp.NewPolicy(cfg.DCPPPolicy)
-	case simrun.ProtocolNaive:
-		return naive.NewPolicy(cfg.NaivePeriod)
-	default:
-		return nil, fmt.Errorf("conformance: unknown protocol %q", cfg.Protocol)
-	}
-}
-
-// deviceBuilder builds the device engine for the fleet from the same
-// compiled config.
-func deviceBuilder(cfg simrun.Config) fleet.DeviceBuilder {
-	return func(env core.Env) (core.Device, error) {
-		switch cfg.Protocol {
-		case simrun.ProtocolSAPP:
-			return sapp.NewDevice(deviceID, env, cfg.SAPPDevice)
-		case simrun.ProtocolDCPP:
-			return dcpp.NewDevice(deviceID, env, cfg.DCPPDevice)
-		case simrun.ProtocolNaive:
-			return naive.NewDevice(deviceID, env)
-		default:
-			return nil, fmt.Errorf("conformance: unknown protocol %q", cfg.Protocol)
-		}
-	}
-}
-
 // cpRecord collects one fleet CP's presence verdicts (wall clock).
 type cpRecord struct {
 	lostAt time.Time
@@ -647,29 +613,18 @@ func (a *adminClient) post(path string, req, resp any) error {
 // what the conformance scenarios' compiled configs hold). Returns the
 // shard the fleet placed it on.
 func (a *adminClient) addCP(id ident.NodeID, cfg simrun.Config, devAddr netip.AddrPort) (int, error) {
-	var proto string
-	switch cfg.Protocol {
-	case simrun.ProtocolSAPP:
-		proto = "sapp"
-	case simrun.ProtocolDCPP:
-		proto = "dcpp"
-	case simrun.ProtocolNaive:
-		proto = "naive"
-	default:
-		return 0, fmt.Errorf("conformance: unknown protocol %q", cfg.Protocol)
-	}
 	req := map[string]any{
 		"id":       uint32(id),
 		"device":   uint32(deviceID),
 		"addr":     devAddr.String(),
-		"protocol": proto,
+		"protocol": string(cfg.Protocol),
 		"retransmit": map[string]any{
 			"first_timeout":   cfg.Retransmit.FirstTimeout.String(),
 			"retry_timeout":   cfg.Retransmit.RetryTimeout.String(),
 			"max_retransmits": cfg.Retransmit.MaxRetransmits,
 		},
 	}
-	if proto == "naive" {
+	if cfg.Protocol == protocol.Naive {
 		req["period"] = cfg.NaivePeriod.String()
 	}
 	var resp struct {
@@ -760,7 +715,9 @@ func runFleet(spec *scenario.Spec, sched *schedule, c Case, seed uint64) (fleetO
 	if err := devFleet.Start(); err != nil {
 		return out, err
 	}
-	dev, err := devFleet.AddDevice(deviceID, deviceBuilder(cfg))
+	dev, err := devFleet.AddDevice(deviceID, func(env core.Env) (core.Device, error) {
+		return cfg.Protocol.NewDevice(deviceID, env, cfg.Params)
+	})
 	if err != nil {
 		return out, err
 	}
@@ -867,7 +824,7 @@ func runFleet(spec *scenario.Spec, sched *schedule, c Case, seed uint64) (fleetO
 				}
 				checker.SetShard(id, shardAddrs[shard])
 			} else {
-				policy, err := newCPPolicy(cfg)
+				policy, err := cfg.Protocol.NewPolicy(cfg.Params)
 				if err != nil {
 					return out, err
 				}

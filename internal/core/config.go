@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
@@ -60,6 +59,3 @@ func (c RetransmitConfig) Validate() error {
 func (c RetransmitConfig) WorstCaseDetection() time.Duration {
 	return c.FirstTimeout + time.Duration(c.MaxRetransmits)*c.RetryTimeout
 }
-
-// ErrStopped is returned by operations on a stopped engine.
-var ErrStopped = errors.New("core: engine stopped")

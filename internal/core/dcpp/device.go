@@ -19,7 +19,7 @@
 // zero. Read literally, ∆ = max{δ_min, d_min−(nt−t)} grows without bound
 // for an idle device (nt ≪ t). Clamping is identical for a busy device
 // and gives the obviously intended idle behaviour (a lone CP probes at
-// f_max). See DESIGN.md.
+// f_max).
 package dcpp
 
 import (

@@ -40,7 +40,7 @@ type CPConfig struct {
 	// and the ensuing race between fast and slow CPs produces the
 	// starvation of Figs. 2-4. (A conservative δ₀ = MaxDelay lands the
 	// system softly inside the tolerated band and freezes it there with
-	// only moderate spread — see DESIGN.md.)
+	// only moderate spread.)
 	InitialDelay time.Duration
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"presence/internal/scenario"
 	"presence/internal/stats"
 )
 
@@ -117,39 +116,5 @@ func runExtChurnModels(opts Options) (*Report, error) {
 	}
 	rep.AddFinding("DCPP's schedule-limited load control is model-agnostic: every dynamic keeps the mean load at or below L_nom while the population mean spans the models")
 	rep.AddFinding("detection latency tracks the instantaneous population (≈ k·δ_min + failed cycle), so heavy-tailed and flash-crowd peaks stretch the worst case exactly as the k-sweep predicts")
-	return rep, nil
-}
-
-// ScenarioReport builds, runs and summarises one scenario — the generic
-// report behind `probebench -scenario`. The returned report carries the
-// standard headline metrics plus the load and population series.
-func ScenarioReport(spec *scenario.Spec, seed uint64) (*Report, error) {
-	w, err := spec.World(seed)
-	if err != nil {
-		return nil, err
-	}
-	w.Run(spec.Horizon.Std())
-	rep := &Report{
-		ID:         "scenario-" + spec.Name,
-		Title:      fmt.Sprintf("Scenario %s (%s, horizon %v)", spec.Name, spec.Protocol, spec.Horizon.Std()),
-		PaperClaim: spec.Description,
-	}
-	load := w.DeviceLoad().Stats()
-	rep.AddMetric("load_mean", load.Mean(), unspecified(), "probes/s", "")
-	rep.AddMetric("load_var", load.Variance(), unspecified(), "(probes/s)^2", "")
-	rep.AddMetric("load_peak", load.Max(), unspecified(), "probes/s", "")
-	occ := w.Net().BufferOccupancy()
-	rep.AddMetric("buffer_mean_occupancy", occ.Mean(), unspecified(), "messages", "")
-	rep.AddMetric("mean_active_cps", w.CPCountStats().Mean(), unspecified(), "CPs", "time-weighted")
-	if freqs := w.CPFrequencies(); len(freqs) > 0 {
-		lo, hi := minMax(freqs)
-		rep.AddMetric("fairness_jain", stats.JainIndex(freqs), unspecified(), "",
-			fmt.Sprintf("freq range [%.3g, %.3g] /s", lo, hi))
-	}
-	c := w.Net().Counters()
-	rep.AddMetric("messages_sent", float64(c.Sent), unspecified(), "msgs", "")
-	rep.AddMetric("messages_lost", float64(c.LostInFlight), unspecified(), "msgs", "loss model drops")
-	rep.Series = append(rep.Series, w.DeviceLoad().Series(), w.CPCountSeries())
-	rep.AddFinding("events executed: %d; simulated horizon %v", w.Sim().Executed(), spec.Horizon.Std())
 	return rep, nil
 }

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"presence/internal/simrun"
+	"presence/internal/core/protocol"
 	"presence/internal/stats"
 )
 
@@ -143,7 +143,7 @@ func runTabDCPPStatic(opts Options) (*Report, error) {
 	// pool, report in k order.
 	results, err := Replications(len(ks), func(i int) (outcome, error) {
 		k := ks[i]
-		w, err := staticSpec(simrun.ProtocolDCPP, k, sec(5), warmup+measure).World(opts.Seed + uint64(k))
+		w, err := staticSpec(protocol.DCPP, k, sec(5), warmup+measure).World(opts.Seed + uint64(k))
 		if err != nil {
 			return outcome{}, err
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"presence/internal/core/protocol"
 	"presence/internal/simrun"
 )
 
@@ -41,7 +42,7 @@ func TestExperimentsDeterministicAcrossRuns(t *testing.T) {
 // replicationJob runs one small DCPP churn world and returns its headline
 // statistics — a miniature of what ext-seeds does per replication.
 func replicationJob(seed uint64) ([2]float64, error) {
-	w, err := simrun.NewWorld(simrun.Config{Protocol: simrun.ProtocolDCPP, Seed: seed})
+	w, err := simrun.NewWorld(simrun.Config{Protocol: protocol.DCPP, Seed: seed})
 	if err != nil {
 		return [2]float64{}, err
 	}

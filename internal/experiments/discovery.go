@@ -3,8 +3,8 @@ package experiments
 import (
 	"time"
 
+	"presence/internal/core/protocol"
 	"presence/internal/scenario"
-	"presence/internal/simrun"
 	"presence/internal/stats"
 )
 
@@ -32,7 +32,7 @@ func runExtDiscovery(opts Options) (*Report, error) {
 		period = 20 * time.Second
 	)
 	run := func(probe bool) (expiry, probing stats.Welford, err error) {
-		spec := staticSpec(simrun.ProtocolDCPP, 10, 0, settle+maxAge+sec(10))
+		spec := staticSpec(protocol.DCPP, 10, 0, settle+maxAge+sec(10))
 		spec.Discovery = &scenario.Discovery{
 			MaxAge:           scenario.Dur(maxAge),
 			Period:           scenario.Dur(period),

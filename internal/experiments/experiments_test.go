@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"presence/internal/scenario"
 )
 
 const testSeed = 2005 // DSN 2005
@@ -297,27 +295,6 @@ func TestExtChurnModelsShort(t *testing.T) {
 	// degenerate).
 	if mu, md := metric(t, rep, "mean_cps_uniform"), metric(t, rep, "mean_cps_diurnal"); mu == md {
 		t.Fatalf("uniform and diurnal population means identical (%g); models not distinct", mu)
-	}
-}
-
-func TestScenarioReport(t *testing.T) {
-	spec, ok := scenario.ByName("flash-crowd")
-	if !ok {
-		t.Fatal("flash-crowd scenario not registered")
-	}
-	spec.Horizon = scenario.Dur(sec(120))
-	rep, err := ScenarioReport(spec, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ID != "scenario-flash-crowd" {
-		t.Fatalf("report ID = %q", rep.ID)
-	}
-	if load := metric(t, rep, "load_mean"); load <= 0 {
-		t.Fatalf("load mean %g", load)
-	}
-	if len(rep.Series) != 2 {
-		t.Fatalf("recorded %d series, want load + #CPs", len(rep.Series))
 	}
 }
 

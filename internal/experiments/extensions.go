@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"presence/internal/core"
+	"presence/internal/core/protocol"
 	"presence/internal/core/sapp"
 	"presence/internal/scenario"
 	"presence/internal/simrun"
@@ -61,7 +62,7 @@ func runExtFairness(opts Options) (*Report, error) {
 		Title:      "Fairness at k = 20 CPs",
 		PaperClaim: "SAPP treats CPs unfairly (some starve, some probe fast); DCPP gives nearly the same frequency to all CPs",
 	}
-	protocols := []simrun.Protocol{simrun.ProtocolSAPP, simrun.ProtocolDCPP, simrun.ProtocolNaive}
+	protocols := []protocol.Name{protocol.SAPP, protocol.DCPP, protocol.Naive}
 	type outcome struct {
 		jain, lo, hi, load float64
 	}
@@ -111,11 +112,11 @@ func runExtDetect(opts Options) (*Report, error) {
 	retrans := core.DefaultRetransmit()
 	failTail := retrans.WorstCaseDetection()
 	type job struct {
-		proto simrun.Protocol
+		proto protocol.Name
 		k     int
 	}
 	var jobs []job
-	for _, proto := range []simrun.Protocol{simrun.ProtocolDCPP, simrun.ProtocolSAPP} {
+	for _, proto := range []protocol.Name{protocol.DCPP, protocol.SAPP} {
 		for _, k := range []int{1, 5, 10, 20, 40} {
 			jobs = append(jobs, job{proto, k})
 		}
@@ -156,7 +157,7 @@ func runExtDetect(opts Options) (*Report, error) {
 			rep.AddFinding("%s k=%d: %d CPs had not detected within 25 s", proto, k, out.missing)
 		}
 		var bound float64
-		if proto == simrun.ProtocolDCPP {
+		if proto == protocol.DCPP {
 			// Worst case: the CP just received a wait of
 			// max(d_min, k·δ_min), then needs a full failed cycle.
 			wait := 0.5
@@ -257,7 +258,7 @@ func runExtOverlay(opts Options) (*Report, error) {
 	if opts.Scale == ScaleShort {
 		settle = sec(120)
 	}
-	spec := staticSpec(simrun.ProtocolSAPP, 20, sec(10), settle+sec(25))
+	spec := staticSpec(protocol.SAPP, 20, sec(10), settle+sec(25))
 	spec.Overlay = true
 	w, err := spec.World(opts.Seed)
 	if err != nil {
@@ -324,7 +325,7 @@ func runExtSAPPAdaptiveDelta(opts Options) (*Report, error) {
 		v := variants[i]
 		// Protocol-specific engine knobs stay outside the declarative
 		// Spec: compile the Spec to a Config, tweak, then populate.
-		spec := staticSpec(simrun.ProtocolSAPP, 20, sec(10), warmup+measure)
+		spec := staticSpec(protocol.SAPP, 20, sec(10), warmup+measure)
 		cfg, err := spec.Config(opts.Seed)
 		if err != nil {
 			return 0, err
@@ -375,7 +376,7 @@ func runExtNaiveLoad(opts Options) (*Report, error) {
 	ks := []int{1, 5, 10, 20, 40, 80}
 	results, err := Replications(len(ks), func(i int) (float64, error) {
 		k := ks[i]
-		spec := staticSpec(simrun.ProtocolNaive, k, sec(3), sec(30)+measure)
+		spec := staticSpec(protocol.Naive, k, sec(3), sec(30)+measure)
 		spec.NaivePeriod = scenario.Dur(period)
 		w, err := spec.World(opts.Seed + uint64(k))
 		if err != nil {

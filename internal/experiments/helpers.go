@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"presence/internal/core/protocol"
 	"presence/internal/scenario"
 	"presence/internal/simrun"
 )
@@ -17,10 +18,10 @@ func sec(s float64) time.Duration { return time.Duration(s * float64(time.Second
 // workhorse of the steady-state experiments. All experiment worlds are
 // built through scenario Specs so every workload the suite measures is
 // expressible in a scenario file.
-func staticSpec(proto simrun.Protocol, cps int, spread, horizon time.Duration) *scenario.Spec {
+func staticSpec(proto protocol.Name, cps int, spread, horizon time.Duration) *scenario.Spec {
 	return &scenario.Spec{
 		Name:     fmt.Sprintf("%s-static-%d", proto, cps),
-		Protocol: string(proto),
+		Protocol: proto,
 		Horizon:  scenario.Dur(horizon),
 		Population: scenario.Population{Static: &scenario.Static{
 			CPs: cps, Spread: scenario.Dur(spread),

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"presence/internal/core/protocol"
 	"presence/internal/scenario"
-	"presence/internal/simrun"
 	"presence/internal/stats"
 )
 
@@ -42,7 +42,7 @@ func runTabSAPPSteady(opts Options) (*Report, error) {
 	if opts.Scale == ScaleShort {
 		warmup, chunk, maxHorizon = sec(300), sec(300), sec(3000)
 	}
-	w, err := staticSpec(simrun.ProtocolSAPP, 20, sec(10), maxHorizon).World(opts.Seed)
+	w, err := staticSpec(protocol.SAPP, 20, sec(10), maxHorizon).World(opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +122,7 @@ func runFig2(opts Options) (*Report, error) {
 	if opts.Scale == ScaleShort {
 		horizon = sec(2000)
 	}
-	spec := staticSpec(simrun.ProtocolSAPP, 3, sec(10), horizon)
+	spec := staticSpec(protocol.SAPP, 3, sec(10), horizon)
 	spec.Measure = &scenario.Measure{CPSeries: true}
 	w, err := spec.World(opts.Seed)
 	if err != nil {
@@ -162,7 +162,7 @@ func runFig3(opts Options) (*Report, error) {
 	} else {
 		horizon, winFrom, winTo = sec(12360), sec(12300), sec(12360)
 	}
-	spec := staticSpec(simrun.ProtocolSAPP, 20, sec(10), horizon)
+	spec := staticSpec(protocol.SAPP, 20, sec(10), horizon)
 	spec.Measure = &scenario.Measure{
 		CPSeries:   true,
 		WindowFrom: scenario.Dur(winFrom),

@@ -29,9 +29,7 @@ import (
 	"time"
 
 	"presence/internal/core"
-	"presence/internal/core/dcpp"
-	"presence/internal/core/naive"
-	"presence/internal/core/sapp"
+	"presence/internal/core/protocol"
 	"presence/internal/fleet"
 	"presence/internal/ident"
 )
@@ -127,24 +125,24 @@ type cpAddRequest struct {
 	Retransmit *retransmitDTO `json:"retransmit,omitempty"`
 }
 
-func buildPolicy(protocol, period string) (core.DelayPolicy, error) {
-	switch protocol {
-	case "dcpp", "":
-		return dcpp.NewPolicy(dcpp.PolicyConfig{})
-	case "sapp":
-		return sapp.NewPolicy(sapp.DefaultCPConfig())
-	case "naive":
-		p := time.Second
-		if period != "" {
-			var err error
-			if p, err = time.ParseDuration(period); err != nil {
-				return nil, fmt.Errorf("period: %w", err)
-			}
-		}
-		return naive.NewPolicy(p)
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", protocol)
+// adminProtocol reads a request's protocol field: empty means DCPP.
+func adminProtocol(name string) protocol.Name {
+	if name == "" {
+		return protocol.DCPP
 	}
+	return protocol.Name(name)
+}
+
+func buildPolicy(name, period string) (core.DelayPolicy, error) {
+	proto := adminProtocol(name)
+	var p protocol.Params
+	if proto == protocol.Naive && period != "" {
+		var err error
+		if p.NaivePeriod, err = time.ParseDuration(period); err != nil {
+			return nil, fmt.Errorf("period: %w", err)
+		}
+	}
+	return proto.NewPolicy(p)
 }
 
 func (s *Server) handleCPAdd(w http.ResponseWriter, r *http.Request) {
@@ -205,22 +203,8 @@ func (s *Server) handleDeviceAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := ident.NodeID(req.ID)
-	var build fleet.DeviceBuilder
-	switch req.Protocol {
-	case "dcpp", "":
-		build = func(env core.Env) (core.Device, error) {
-			return dcpp.NewDevice(id, env, dcpp.DefaultDeviceConfig())
-		}
-	case "sapp":
-		build = func(env core.Env) (core.Device, error) {
-			return sapp.NewDevice(id, env, sapp.DefaultDeviceConfig())
-		}
-	case "naive":
-		build = func(env core.Env) (core.Device, error) { return naive.NewDevice(id, env) }
-	default:
-		adminError(w, fmt.Errorf("unknown protocol %q", req.Protocol))
-		return
-	}
+	proto := adminProtocol(req.Protocol)
+	build := func(env core.Env) (core.Device, error) { return proto.NewDevice(id, env, protocol.Params{}) }
 	dev, err := s.cfg.Fleet.AddDevice(id, build)
 	if err != nil {
 		adminError(w, err)

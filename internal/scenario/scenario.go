@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"presence/internal/core/discovery"
+	"presence/internal/core/protocol"
 	"presence/internal/simnet"
 	"presence/internal/simrun"
 )
@@ -60,7 +61,7 @@ type Spec struct {
 	// Description is a one-line summary for listings.
 	Description string `json:"description,omitempty"`
 	// Protocol selects sapp, dcpp or naive.
-	Protocol string `json:"protocol"`
+	Protocol protocol.Name `json:"protocol"`
 	// Devices is the device count (0 = 1, the paper's setting).
 	Devices int `json:"devices,omitempty"`
 	// Horizon is the simulated run length.
@@ -539,7 +540,7 @@ type Measure struct {
 
 // Validate checks the Spec without building anything.
 func (s *Spec) Validate() error {
-	if !simrun.Protocol(s.Protocol).Valid() {
+	if !s.Protocol.Valid() {
 		return fmt.Errorf("scenario: unknown protocol %q", s.Protocol)
 	}
 	if s.Horizon <= 0 {
@@ -598,10 +599,10 @@ func (s *Spec) Config(seed uint64) (simrun.Config, error) {
 		return simrun.Config{}, err
 	}
 	cfg := simrun.Config{
-		Protocol:    simrun.Protocol(s.Protocol),
-		Seed:        seed,
-		Devices:     s.Devices,
-		NaivePeriod: s.NaivePeriod.Std(),
+		Protocol: s.Protocol,
+		Seed:     seed,
+		Devices:  s.Devices,
+		Params:   protocol.Params{NaivePeriod: s.NaivePeriod.Std()},
 	}
 	cfg.EnableOverlay = s.Overlay
 	if s.Net != nil {

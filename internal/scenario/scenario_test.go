@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"presence/internal/core/protocol"
 	"presence/internal/simnet"
 	"presence/internal/simrun"
 )
@@ -72,7 +73,7 @@ func TestPaperScenariosCompileToHistoricalWorlds(t *testing.T) {
 	}
 	got := run(w, spec.Horizon.Std())
 	hand, err := simrun.NewWorld(simrun.Config{
-		Protocol: simrun.ProtocolSAPP, Seed: seed, RecordCPSeries: true,
+		Protocol: protocol.SAPP, Seed: seed, RecordCPSeries: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +97,7 @@ func TestPaperScenariosCompileToHistoricalWorlds(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = run(w, spec.Horizon.Std())
-	hand, err = simrun.NewWorld(simrun.Config{Protocol: simrun.ProtocolDCPP, Seed: seed})
+	hand, err = simrun.NewWorld(simrun.Config{Protocol: protocol.DCPP, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,32 +16,10 @@ import (
 	"time"
 
 	"presence/internal/core"
-	"presence/internal/core/dcpp"
 	"presence/internal/core/discovery"
-	"presence/internal/core/naive"
-	"presence/internal/core/sapp"
+	"presence/internal/core/protocol"
 	"presence/internal/simnet"
 )
-
-// Protocol selects which probe protocol a World runs.
-type Protocol string
-
-// The three protocols under study.
-const (
-	ProtocolSAPP  Protocol = "sapp"
-	ProtocolDCPP  Protocol = "dcpp"
-	ProtocolNaive Protocol = "naive"
-)
-
-// Valid reports whether p is a known protocol.
-func (p Protocol) Valid() bool {
-	switch p {
-	case ProtocolSAPP, ProtocolDCPP, ProtocolNaive:
-		return true
-	default:
-		return false
-	}
-}
 
 // ProcessingConfig models the device's computation time: each reply is
 // delayed by a uniform draw from [Min, Max]. The paper's timeouts assume
@@ -78,7 +56,7 @@ func (p ProcessingConfig) validate() error {
 // Config assembles a World.
 type Config struct {
 	// Protocol selects SAPP, DCPP or the naive baseline.
-	Protocol Protocol
+	Protocol protocol.Name
 	// Seed determines every random draw in the run.
 	Seed uint64
 	// Devices is the number of devices in the world (default 1, the
@@ -96,16 +74,9 @@ type Config struct {
 	// (TOF 22 ms, TOS 21 ms, 3 retransmissions).
 	Retransmit core.RetransmitConfig
 
-	// SAPPDevice/SAPPCP parameterise SAPP (zero values = paper values).
-	SAPPDevice sapp.DeviceConfig
-	SAPPCP     sapp.CPConfig
-	// DCPPDevice/DCPPPolicy parameterise DCPP (zero values = paper
+	// Params parameterises the protocol engines (zero values = paper
 	// values).
-	DCPPDevice dcpp.DeviceConfig
-	DCPPPolicy dcpp.PolicyConfig
-	// NaivePeriod is the fixed probe period of the baseline (zero =
-	// 1 s).
-	NaivePeriod time.Duration
+	protocol.Params
 
 	// LoadBin is the width of the device-load measurement bins (zero =
 	// 1 s, which reproduces the paper's Fig. 5 variance).
@@ -154,18 +125,7 @@ func (c *Config) applyDefaults() {
 	if c.Retransmit == (core.RetransmitConfig{}) {
 		c.Retransmit = core.DefaultRetransmit()
 	}
-	if c.SAPPDevice == (sapp.DeviceConfig{}) {
-		c.SAPPDevice = sapp.DefaultDeviceConfig()
-	}
-	if c.SAPPCP == (sapp.CPConfig{}) {
-		c.SAPPCP = sapp.DefaultCPConfig()
-	}
-	if c.DCPPDevice == (dcpp.DeviceConfig{}) {
-		c.DCPPDevice = dcpp.DefaultDeviceConfig()
-	}
-	if c.NaivePeriod == 0 {
-		c.NaivePeriod = naive.DefaultPeriod
-	}
+	c.Params = c.Params.WithDefaults()
 	if c.LoadBin == 0 {
 		c.LoadBin = time.Second
 	}

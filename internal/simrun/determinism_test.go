@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"presence/internal/core/protocol"
 )
 
 // TestWorldExecutionDeterminism: two worlds built from the same seed must
@@ -12,7 +14,7 @@ import (
 // message paths must uphold.
 func TestWorldExecutionDeterminism(t *testing.T) {
 	run := func() (executed uint64, mean, variance float64, sent, delivered uint64) {
-		w, err := NewWorld(Config{Protocol: ProtocolDCPP, Seed: 77})
+		w, err := NewWorld(Config{Protocol: protocol.DCPP, Seed: 77})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +47,7 @@ func TestWorldExecutionDeterminism(t *testing.T) {
 // a pure function of the seed.
 func TestWorldOverlayDeterminism(t *testing.T) {
 	run := func() (notices uint64, informed int) {
-		w, err := NewWorld(Config{Protocol: ProtocolSAPP, Seed: 99, EnableOverlay: true})
+		w, err := NewWorld(Config{Protocol: protocol.SAPP, Seed: 99, EnableOverlay: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,10 +5,11 @@ import (
 	"time"
 
 	"presence/internal/core/discovery"
+	"presence/internal/core/protocol"
 )
 
 func discoveryConfig(probe bool) Config {
-	cfg := Config{Protocol: ProtocolDCPP, Seed: 40}
+	cfg := Config{Protocol: protocol.DCPP, Seed: 40}
 	cfg.Discovery = DiscoveryConfig{
 		Enabled:          true,
 		Announce:         discovery.AnnouncerConfig{MaxAge: 30 * time.Second, Period: 10 * time.Second},

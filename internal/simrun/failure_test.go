@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"presence/internal/core/dcpp"
+	"presence/internal/core/protocol"
 	"presence/internal/simnet"
 )
 
@@ -12,7 +13,7 @@ import (
 // the probe protocol cannot distinguish a dead device from an
 // unreachable one.
 func TestPartitionCausesFalsePositive(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 20})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 20})
 	h, err := w.AddCP()
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +45,7 @@ func TestPartitionCausesFalsePositive(t *testing.T) {
 // direction drops every reply; the CP retransmits (uselessly) and then
 // declares absence. The device, meanwhile, keeps counting probes.
 func TestAsymmetricPartitionLosesReplies(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 21})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 21})
 	h, err := w.AddCP()
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestAsymmetricPartitionLosesReplies(t *testing.T) {
 // schedule — the device answers retransmissions/duplicates of a cycle
 // from its assignment table, so the load bound holds.
 func TestDCPPUnderDuplication(t *testing.T) {
-	cfg := Config{Protocol: ProtocolDCPP, Seed: 22}
+	cfg := Config{Protocol: protocol.DCPP, Seed: 22}
 	cfg.Net.DuplicateP = 0.3
 	w := mustWorld(t, cfg)
 	if _, err := w.AddCPs(20); err != nil {
@@ -98,7 +99,7 @@ func TestDCPPUnderDuplication(t *testing.T) {
 // traffic but the schedule still spaces fresh slots; CPs that lose a
 // full cycle stop (false positives are possible and expected).
 func TestDCPPUnderLossKeepsLoadBounded(t *testing.T) {
-	cfg := Config{Protocol: ProtocolDCPP, Seed: 23}
+	cfg := Config{Protocol: protocol.DCPP, Seed: 23}
 	cfg.Net.Loss = simnet.Bernoulli{P: 0.1}
 	w := mustWorld(t, cfg)
 	if _, err := w.AddCPs(20); err != nil {
@@ -123,7 +124,7 @@ func TestDCPPUnderLossKeepsLoadBounded(t *testing.T) {
 // a reset probe counter; restarted CPs must re-anchor their L_exp
 // estimate instead of treating the counter jump as meaningful.
 func TestSAPPSurvivesDeviceRestart(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolSAPP, Seed: 24})
+	w := mustWorld(t, Config{Protocol: protocol.SAPP, Seed: 24})
 	hosts, err := w.AddCPs(5)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +158,7 @@ func TestSAPPSurvivesDeviceRestart(t *testing.T) {
 // churn, loss, duplication — must neither deadlock, nor violate the
 // DCPP fresh-slot bound, nor crash.
 func TestChurnWithLossAndDuplication(t *testing.T) {
-	cfg := Config{Protocol: ProtocolDCPP, Seed: 25}
+	cfg := Config{Protocol: protocol.DCPP, Seed: 25}
 	cfg.Net.Loss = simnet.Bernoulli{P: 0.05}
 	cfg.Net.DuplicateP = 0.05
 	w := mustWorld(t, cfg)
@@ -178,7 +179,7 @@ func TestChurnWithLossAndDuplication(t *testing.T) {
 // active population; CPs that joined after the bye... cannot join (the
 // device is gone), so the population only drains.
 func TestDeviceByeDuringChurn(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 26})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 26})
 	if _, err := w.AddCPs(10); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestDeviceByeDuringChurn(t *testing.T) {
 // waits beyond the fair share — quantifies why the extension matters.
 func TestDedupeDisabledDeviceOverSchedules(t *testing.T) {
 	run := func(dedupe bool) float64 {
-		cfg := Config{Protocol: ProtocolDCPP, Seed: 27}
+		cfg := Config{Protocol: protocol.DCPP, Seed: 27}
 		cfg.Net.DuplicateP = 0.5
 		dev := dcpp.DefaultDeviceConfig()
 		if !dedupe {

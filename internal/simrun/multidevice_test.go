@@ -3,11 +3,12 @@ package simrun
 import (
 	"testing"
 
+	"presence/internal/core/protocol"
 	"presence/internal/stats"
 )
 
 func TestMultiDeviceWorldConstruction(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 30, Devices: 3})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 30, Devices: 3})
 	if len(w.Devices()) != 3 {
 		t.Fatalf("Devices() = %d, want 3", len(w.Devices()))
 	}
@@ -24,13 +25,13 @@ func TestMultiDeviceWorldConstruction(t *testing.T) {
 		}
 		ids[int64(d.ID)] = true
 	}
-	if _, err := NewWorld(Config{Protocol: ProtocolDCPP, Devices: -1}); err == nil {
+	if _, err := NewWorld(Config{Protocol: protocol.DCPP, Devices: -1}); err == nil {
 		t.Error("negative device count accepted")
 	}
 }
 
 func TestMultiDeviceEachDeviceLoadBounded(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 31, Devices: 3})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 31, Devices: 3})
 	if _, err := w.AddCPs(10); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestMultiDeviceEachDeviceLoadBounded(t *testing.T) {
 }
 
 func TestMultiDeviceIndependentFailure(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 32, Devices: 2})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 32, Devices: 2})
 	hosts, err := w.AddCPs(4)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +97,7 @@ func TestMultiDeviceIndependentFailure(t *testing.T) {
 }
 
 func TestMultiDeviceSelectiveBye(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 33, Devices: 2})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 33, Devices: 2})
 	hosts, err := w.AddCPs(3)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestMultiDeviceSelectiveBye(t *testing.T) {
 func TestMultiDeviceSAPPIndependentAdaptation(t *testing.T) {
 	// Policies are per (CP, device): the same CP may be fast towards one
 	// device and starved towards another.
-	w := mustWorld(t, Config{Protocol: ProtocolSAPP, Seed: 34, Devices: 2})
+	w := mustWorld(t, Config{Protocol: protocol.SAPP, Seed: 34, Devices: 2})
 	if err := w.AddCPsStaggered(10, sec(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestMultiDeviceSAPPIndependentAdaptation(t *testing.T) {
 
 func TestMultiDeviceDeterminism(t *testing.T) {
 	run := func() [2]uint64 {
-		w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 35, Devices: 2})
+		w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 35, Devices: 2})
 		if _, err := w.AddCPs(5); err != nil {
 			t.Fatal(err)
 		}

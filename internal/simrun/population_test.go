@@ -4,11 +4,13 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"presence/internal/core/protocol"
 )
 
 func newTestWorld(t *testing.T, seed uint64) *World {
 	t.Helper()
-	w, err := NewWorld(Config{Protocol: ProtocolDCPP, Seed: seed})
+	w, err := NewWorld(Config{Protocol: protocol.DCPP, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"presence/internal/core/protocol"
 	"presence/internal/stats"
 )
 
@@ -24,22 +25,22 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewWorld(Config{Protocol: "bogus"}); err == nil {
 		t.Error("unknown protocol accepted")
 	}
-	if _, err := NewWorld(Config{Protocol: ProtocolDCPP, LoadBin: -time.Second}); err == nil {
+	if _, err := NewWorld(Config{Protocol: protocol.DCPP, LoadBin: -time.Second}); err == nil {
 		t.Error("negative LoadBin accepted")
 	}
-	if _, err := NewWorld(Config{Protocol: ProtocolDCPP,
+	if _, err := NewWorld(Config{Protocol: protocol.DCPP,
 		Processing: ProcessingConfig{Min: time.Second, Max: time.Millisecond}}); err == nil {
 		t.Error("inverted processing bounds accepted")
 	}
 }
 
 func TestProtocolValid(t *testing.T) {
-	for _, p := range []Protocol{ProtocolSAPP, ProtocolDCPP, ProtocolNaive} {
+	for _, p := range []protocol.Name{protocol.SAPP, protocol.DCPP, protocol.Naive} {
 		if !p.Valid() {
 			t.Errorf("%q should be valid", p)
 		}
 	}
-	if Protocol("swim").Valid() {
+	if protocol.Name("swim").Valid() {
 		t.Error("unknown protocol reported valid")
 	}
 }
@@ -86,7 +87,7 @@ func TestLoadRecorderReset(t *testing.T) {
 }
 
 func TestDCPPLoneCPProbesAtMaxFrequency(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 1})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 1})
 	if _, err := w.AddCP(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestDCPPLoneCPProbesAtMaxFrequency(t *testing.T) {
 }
 
 func TestDCPPStaticLoadBoundedByNominal(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 2})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 2})
 	if err := w.AddCPsStaggered(20, sec(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestDCPPStaticLoadBoundedByNominal(t *testing.T) {
 }
 
 func TestDCPPFewCPsLoadIsKTimesFmax(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 3})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 3})
 	if _, err := w.AddCPs(3); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestDCPPFewCPsLoadIsKTimesFmax(t *testing.T) {
 }
 
 func TestSAPPTwoCPsStayInBand(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolSAPP, Seed: 4})
+	w := mustWorld(t, Config{Protocol: protocol.SAPP, Seed: 4})
 	if err := w.AddCPsStaggered(2, sec(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestSAPPManyCPsUnfairAndDeviceLoadGood(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long SAPP run")
 	}
-	cfg := Config{Protocol: ProtocolSAPP, Seed: 5, RecordCPSeries: true}
+	cfg := Config{Protocol: protocol.SAPP, Seed: 5, RecordCPSeries: true}
 	w := mustWorld(t, cfg)
 	if err := w.AddCPsStaggered(20, sec(10)); err != nil {
 		t.Fatal(err)
@@ -203,7 +204,7 @@ func TestSAPPManyCPsUnfairAndDeviceLoadGood(t *testing.T) {
 }
 
 func TestNaiveLoadScalesWithPopulation(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolNaive, Seed: 6, NaivePeriod: time.Second})
+	w := mustWorld(t, Config{Protocol: protocol.Naive, Seed: 6, Params: protocol.Params{NaivePeriod: time.Second}})
 	if _, err := w.AddCPs(30); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestNaiveLoadScalesWithPopulation(t *testing.T) {
 }
 
 func TestDetectionAfterSilentCrash(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 7})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 7})
 	if _, err := w.AddCPs(5); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestDetectionAfterSilentCrash(t *testing.T) {
 }
 
 func TestDeviceByeNotifiesAllCPs(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 8})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 8})
 	if _, err := w.AddCPs(4); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestDeviceByeNotifiesAllCPs(t *testing.T) {
 }
 
 func TestDeviceReviveAndReprobe(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 9})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 9})
 	if _, err := w.AddCPs(2); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestDeviceReviveAndReprobe(t *testing.T) {
 }
 
 func TestMassLeaveScenario(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 10})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 10})
 	if _, err := w.AddCPs(20); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestMassLeaveScenario(t *testing.T) {
 }
 
 func TestUniformChurnKeepsPopulationInBounds(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 11})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 11})
 	churn := UniformChurn{Min: 1, Max: 60, Rate: 0.2}
 	if err := w.StartChurn(churn); err != nil {
 		t.Fatal(err)
@@ -330,7 +331,7 @@ func TestUniformChurnKeepsPopulationInBounds(t *testing.T) {
 }
 
 func TestChurnValidation(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 12})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 12})
 	if err := w.StartChurn(UniformChurn{Min: 5, Max: 1, Rate: 1}); err == nil {
 		t.Error("inverted bounds accepted")
 	}
@@ -341,7 +342,7 @@ func TestChurnValidation(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func(seed uint64) (uint64, float64) {
-		w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: seed})
+		w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: seed})
 		if err := w.StartChurn(UniformChurn{Min: 1, Max: 20, Rate: 0.5}); err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +362,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestOverlayDisseminatesLeave(t *testing.T) {
-	cfg := Config{Protocol: ProtocolSAPP, Seed: 13, EnableOverlay: true}
+	cfg := Config{Protocol: protocol.SAPP, Seed: 13, EnableOverlay: true}
 	w := mustWorld(t, cfg)
 	if _, err := w.AddCPs(8); err != nil {
 		t.Fatal(err)
@@ -393,7 +394,7 @@ func TestOverlayDisseminatesLeave(t *testing.T) {
 }
 
 func TestCPSeriesRecorded(t *testing.T) {
-	cfg := Config{Protocol: ProtocolDCPP, Seed: 14, RecordCPSeries: true}
+	cfg := Config{Protocol: protocol.DCPP, Seed: 14, RecordCPSeries: true}
 	w := mustWorld(t, cfg)
 	h, err := w.AddCP()
 	if err != nil {
@@ -414,7 +415,7 @@ func TestCPSeriesRecorded(t *testing.T) {
 }
 
 func TestSeriesWindowConfig(t *testing.T) {
-	cfg := Config{Protocol: ProtocolDCPP, Seed: 15, RecordCPSeries: true}
+	cfg := Config{Protocol: protocol.DCPP, Seed: 15, RecordCPSeries: true}
 	cfg.SeriesWindow.From = sec(10)
 	cfg.SeriesWindow.To = sec(20)
 	w := mustWorld(t, cfg)
@@ -434,7 +435,7 @@ func TestSeriesWindowConfig(t *testing.T) {
 }
 
 func TestRemoveCPIdempotent(t *testing.T) {
-	w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 16})
+	w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 16})
 	h, err := w.AddCP()
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +455,7 @@ func TestRemoveCPIdempotent(t *testing.T) {
 func TestBufferOccupancySmall(t *testing.T) {
 	// The paper: "network buffer overflow is a seldom phenomenon as the
 	// average buffer length is very small (≈0.004)".
-	w := mustWorld(t, Config{Protocol: ProtocolSAPP, Seed: 17})
+	w := mustWorld(t, Config{Protocol: protocol.SAPP, Seed: 17})
 	if err := w.AddCPsStaggered(20, sec(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +471,7 @@ func TestBufferOccupancySmall(t *testing.T) {
 
 func BenchmarkWorldDCPPChurn60s(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w, err := NewWorld(Config{Protocol: ProtocolDCPP, Seed: uint64(i)})
+		w, err := NewWorld(Config{Protocol: protocol.DCPP, Seed: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -483,7 +484,7 @@ func BenchmarkWorldDCPPChurn60s(b *testing.B) {
 
 func BenchmarkWorldSAPP20CPs60s(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w, err := NewWorld(Config{Protocol: ProtocolSAPP, Seed: uint64(i)})
+		w, err := NewWorld(Config{Protocol: protocol.SAPP, Seed: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -496,7 +497,7 @@ func BenchmarkWorldSAPP20CPs60s(b *testing.B) {
 
 func TestTraceRecordsEvents(t *testing.T) {
 	var buf strings.Builder
-	cfg := Config{Protocol: ProtocolDCPP, Seed: 50, Trace: &buf}
+	cfg := Config{Protocol: protocol.DCPP, Seed: 50, Trace: &buf}
 	w := mustWorld(t, cfg)
 	h, err := w.AddCP()
 	if err != nil {
@@ -518,7 +519,7 @@ func TestTraceRecordsEvents(t *testing.T) {
 func TestTraceDeterministic(t *testing.T) {
 	run := func() string {
 		var buf strings.Builder
-		w := mustWorld(t, Config{Protocol: ProtocolDCPP, Seed: 51, Trace: &buf})
+		w := mustWorld(t, Config{Protocol: protocol.DCPP, Seed: 51, Trace: &buf})
 		if _, err := w.AddCPs(3); err != nil {
 			t.Fatal(err)
 		}

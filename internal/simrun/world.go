@@ -314,20 +314,7 @@ func (w *World) addDevice(index int) error {
 		lo, hi := w.cfg.Processing.Min, w.cfg.Processing.Max
 		env.proc = func() time.Duration { return procRand.Duration(lo, hi) }
 	}
-	var (
-		engine core.Device
-		err    error
-	)
-	switch w.cfg.Protocol {
-	case ProtocolSAPP:
-		engine, err = sapp.NewDevice(id, env, w.cfg.SAPPDevice)
-	case ProtocolDCPP:
-		engine, err = dcpp.NewDevice(id, env, w.cfg.DCPPDevice)
-	case ProtocolNaive:
-		engine, err = naive.NewDevice(id, env)
-	default:
-		err = fmt.Errorf("simrun: unknown protocol %q", w.cfg.Protocol)
-	}
+	engine, err := w.cfg.Protocol.NewDevice(id, env, w.cfg.Params)
 	if err != nil {
 		return err
 	}
@@ -380,20 +367,6 @@ func (w *World) deviceHandler(host *DeviceHost) simnet.Handler {
 		w.tracer.Event("probe", "%v->%v cycle=%d attempt=%d", from, host.ID, probe.Cycle, probe.Attempt)
 		host.Load.Record(w.sim.Now())
 		host.Engine.OnProbe(from, probe)
-	}
-}
-
-// newPolicy builds the protocol-specific delay policy for one prober.
-func (w *World) newPolicy() (core.DelayPolicy, error) {
-	switch w.cfg.Protocol {
-	case ProtocolSAPP:
-		return sapp.NewPolicy(w.cfg.SAPPCP)
-	case ProtocolDCPP:
-		return dcpp.NewPolicy(w.cfg.DCPPPolicy)
-	case ProtocolNaive:
-		return naive.NewPolicy(w.cfg.NaivePeriod)
-	default:
-		return nil, fmt.Errorf("simrun: unknown protocol %q", w.cfg.Protocol)
 	}
 }
 
@@ -488,7 +461,7 @@ func (h *CPHost) ensureProber(dev ident.NodeID) error {
 	}
 	w := h.w
 	primary := dev == w.devices[0].ID
-	policy, err := w.newPolicy()
+	policy, err := w.cfg.Protocol.NewPolicy(w.cfg.Params)
 	if err != nil {
 		return err
 	}

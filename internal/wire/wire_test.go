@@ -251,7 +251,7 @@ func TestPropertyGarbageRejected(t *testing.T) {
 
 func BenchmarkEncodeProbe(b *testing.B) {
 	buf := make([]byte, 0, MaxFrameSize)
-	msg := core.ProbeMsg{From: 7, Cycle: 42, Attempt: 1}
+	msg := &core.ProbeMsg{From: 7, Cycle: 42, Attempt: 1} // the pooled pointer form the fleet encodes
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error

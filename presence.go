@@ -5,6 +5,7 @@ import (
 	"presence/internal/core"
 	"presence/internal/core/dcpp"
 	"presence/internal/core/discovery"
+	"presence/internal/core/protocol"
 	"presence/internal/core/sapp"
 	"presence/internal/experiments"
 	"presence/internal/fleet"
@@ -23,13 +24,13 @@ const Version = "1.0.0"
 type NodeID = ident.NodeID
 
 // Protocol selects SAPP, DCPP or the naive baseline.
-type Protocol = simrun.Protocol
+type Protocol = protocol.Name
 
 // The available protocols.
 const (
-	ProtocolSAPP  = simrun.ProtocolSAPP
-	ProtocolDCPP  = simrun.ProtocolDCPP
-	ProtocolNaive = simrun.ProtocolNaive
+	ProtocolSAPP  = protocol.SAPP
+	ProtocolDCPP  = protocol.DCPP
+	ProtocolNaive = protocol.Naive
 )
 
 // Simulation API (see internal/simrun for details).

@@ -84,10 +84,13 @@ steady() {
 }
 
 scenario() {
-  # Round-trip a scenario through JSON, then the population-model sweep.
+  # Round-trip a scenario through JSON: the dumped file must run the same
+  # world as the registered name. Then the population-model sweep.
   "$probesim" -scenario fig5-uniform-churn -dump-scenario "$tmp/fig5.json"
   cat "$tmp/fig5.json"
-  "$probesim" -scenario "$tmp/fig5.json" -duration 60s
+  "$probesim" -scenario fig5-uniform-churn -duration 60s | tee "$tmp/by-name.out"
+  "$probesim" -scenario "$tmp/fig5.json" -duration 60s | tee "$tmp/from-json.out"
+  diff "$tmp/by-name.out" "$tmp/from-json.out"
   "$probebench" -scale short -only ext-churn-models -out ''
 }
 
