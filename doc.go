@@ -88,8 +88,9 @@
 //   - replies are demultiplexed on the shared socket by a (device,
 //     cycle) pending-probe table, with per-CP staggered cycle-number
 //     spaces (core.ProberOptions.FirstCycle) keeping keys disjoint;
-//   - per-shard counters roll up through Fleet.Snapshot, which holds
-//     each shard's mutex — the shard's only guard — for one copy; every
+//   - per-shard counters roll up through Fleet.Snapshot, which copies
+//     each shard's counters on that shard's loop — the only code that
+//     touches shard state, so no shard has a mutex; every
 //     counter is one Counters field and one fleet.CounterDefs row
 //     (name, help text), which /metrics, /statusz and the probefleet
 //     dump all read (internal/fleet/counters.go). The benchmark's

@@ -530,7 +530,7 @@ func (l cpListener) DeviceLost(_ ident.NodeID, _ time.Duration) {
 		l.col.recs[l.idx].lostAt = now
 	}
 	l.col.mu.Unlock()
-	l.col.checker.CPLost(l.id)
+	l.col.checker.CPLost(l.id, l.col.net.Counters().Sent)
 }
 
 func (l cpListener) DeviceBye(_ ident.NodeID, _ time.Duration) {
@@ -540,7 +540,7 @@ func (l cpListener) DeviceBye(_ ident.NodeID, _ time.Duration) {
 		l.col.recs[l.idx].byeAt = now
 	}
 	l.col.mu.Unlock()
-	l.col.checker.CPBye(l.id)
+	l.col.checker.CPBye(l.id, l.col.net.Counters().Sent)
 }
 
 // collector holds every fleet CP's verdict record.
@@ -548,6 +548,8 @@ type collector struct {
 	mu      sync.Mutex
 	recs    []cpRecord
 	checker *Checker
+	// net marks verdicts for the checker with its send count.
+	net *memnet.Network
 }
 
 // onVerdict is the fleet-wide verdict hook used by ViaAdmin replays:
@@ -574,9 +576,9 @@ func (col *collector) onVerdict(ev fleet.VerdictEvent) {
 	col.mu.Unlock()
 	switch ev.Kind {
 	case fleet.VerdictLost:
-		col.checker.CPLost(ev.CP)
+		col.checker.CPLost(ev.CP, col.net.Counters().Sent)
 	case fleet.VerdictBye:
-		col.checker.CPBye(ev.CP)
+		col.checker.CPBye(ev.CP, col.net.Counters().Sent)
 	}
 }
 
@@ -744,7 +746,7 @@ func runFleet(spec *scenario.Spec, sched *schedule, c Case, seed uint64) (fleetO
 	net.Observe(observe)
 
 	n := len(sched.joinAt)
-	col := &collector{recs: make([]cpRecord, n), checker: checker}
+	col := &collector{recs: make([]cpRecord, n), checker: checker, net: net}
 	cps := make([]*fleet.ControlPoint, n)
 
 	fcfg := fleet.Config{Shards: c.Shards, Transport: transport, RuntimeConfig: rt}
@@ -852,7 +854,9 @@ func runFleet(spec *scenario.Spec, sched *schedule, c Case, seed uint64) (fleetO
 			} else {
 				cps[ev.idx].Remove()
 			}
-			checker.CPRemoved(cpID(ev.idx))
+			// Every send of the CP reached the network before Remove
+			// returned; the mark separates those from any later ones.
+			checker.CPRemoved(cpID(ev.idx), net.Counters().Sent)
 			presentNow--
 		case evDevice:
 			eventWall = time.Now()

@@ -15,8 +15,8 @@ import (
 // feeds: the memnet packet tap (every datagram outcome, decoded with
 // the production wire codec) and the fleet's presence listeners (the
 // verdicts the runtime hands to the application). Both feeds reach the
-// checker from under the owning shard's mutex, so per-CP event order
-// is the runtime's own order.
+// checker from the owning shard's loop, so per-CP event order is the
+// runtime's own order.
 //
 // Invariants checked (violations are collected, not fatal):
 //
@@ -32,13 +32,22 @@ import (
 //  4. Bye-before-silence — a DeviceBye verdict requires a bye frame
 //     delivered to the CP's shard first, and neither verdict is
 //     followed by further probes from that CP.
+//  5. Silence after removal — a removed CP sends no further probes.
 //
-// Ordering assumption: invariants treat packet-tap order as send
-// order. That holds because every protocol gap between consecutive
-// probes of one CP (TOS, at least 21 ms) far exceeds the injected
-// one-way delay (paper modes plus reorder hold, under 3 ms). Fault
-// plans with delays approaching the protocol timeouts would need a
-// looser checker.
+// Send order: the "no probe after" rules of 4 and 5 judge a probe by
+// when it was sent, not when the tap reported it. A delayed probe is
+// reported at delivery, which can come after a verdict or a removal
+// it preceded. So the caller marks each verdict and removal with the
+// network's send count at that instant (memnet Counters.Sent), and
+// only a probe with a larger PacketEvent.SendSeq breaks the rule; this
+// holds under any delay model.
+//
+// Ordering assumption: the cycle and attempt invariants (1–3) treat
+// packet-tap order as send order. That holds because every protocol
+// gap between consecutive probes of one CP (TOS, at least 21 ms) far
+// exceeds the injected one-way delay (paper modes plus reorder hold,
+// under 3 ms). Fault plans with delays approaching the protocol
+// timeouts would need a looser checker.
 type Checker struct {
 	mu        sync.Mutex
 	maxProbes int // per-cycle budget: MaxRetransmits + 1
@@ -65,6 +74,10 @@ type cpState struct {
 	byeIn     bool // bye frame delivered to the CP's shard
 	lost, bye bool // terminal verdicts seen
 	removed   bool
+	// verdictMark and removedMark are the network's send counts when the
+	// first terminal verdict and the removal were marked: probes sent
+	// after them (SendSeq above the mark) break invariants 4 and 5.
+	verdictMark, removedMark uint64
 }
 
 // maxViolations bounds the retained violation list; further ones are
@@ -118,18 +131,20 @@ func (c *Checker) SetShard(id ident.NodeID, shard netip.AddrPort) {
 }
 
 // CPRemoved marks a scheduled (silent) leave; the runtime must send no
-// further probes for the CP.
-func (c *Checker) CPRemoved(id ident.NodeID) {
+// further probes for the CP. mark is the network's send count
+// (memnet Counters.Sent) read after Remove returned: probes sent up to
+// it may still be delivered, any sent later are violations.
+func (c *Checker) CPRemoved(id ident.NodeID, mark uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if st := c.byID[id]; st != nil {
-		st.removed = true
+		st.removed, st.removedMark = true, mark
 	}
 }
 
 // CPLost records a DeviceLost verdict. Call from the presence listener
-// (under the shard mutex).
-func (c *Checker) CPLost(id ident.NodeID) {
+// (on the shard loop); mark is the network's send count read there.
+func (c *Checker) CPLost(id ident.NodeID, mark uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.byID[id]
@@ -139,6 +154,8 @@ func (c *Checker) CPLost(id ident.NodeID) {
 	}
 	if st.lost || st.bye {
 		c.violate("cp %v: second terminal verdict (lost after lost=%v bye=%v)", id, st.lost, st.bye)
+	} else {
+		st.verdictMark = mark
 	}
 	st.lost = true
 	if st.attempts != c.maxProbes {
@@ -147,8 +164,9 @@ func (c *Checker) CPLost(id ident.NodeID) {
 	}
 }
 
-// CPBye records a DeviceBye verdict. Call from the presence listener.
-func (c *Checker) CPBye(id ident.NodeID) {
+// CPBye records a DeviceBye verdict. Call from the presence listener;
+// mark is as for CPLost.
+func (c *Checker) CPBye(id ident.NodeID, mark uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.byID[id]
@@ -158,6 +176,8 @@ func (c *Checker) CPBye(id ident.NodeID) {
 	}
 	if st.lost || st.bye {
 		c.violate("cp %v: second terminal verdict (bye after lost=%v bye=%v)", id, st.lost, st.bye)
+	} else {
+		st.verdictMark = mark
 	}
 	st.bye = true
 	if !st.byeIn {
@@ -197,7 +217,7 @@ func (c *Checker) OnPacket(ev memnet.PacketEvent) {
 		if c.deviceAddr.IsValid() && ev.To != c.deviceAddr {
 			c.violate("probe from %v addressed to %s, not the device %s", m.From, ev.To, c.deviceAddr)
 		}
-		c.onProbe(m)
+		c.onProbe(m, ev.SendSeq)
 	case core.ReplyMsg:
 		if ev.Verdict != memnet.Delivered {
 			return
@@ -247,18 +267,19 @@ func checkerMsg(f *wire.Frame) core.Message {
 	}
 }
 
-// onProbe applies the send-side invariants. Caller holds c.mu.
-func (c *Checker) onProbe(m core.ProbeMsg) {
+// onProbe applies the send-side invariants to a probe the network
+// counted as send number seq. Caller holds c.mu.
+func (c *Checker) onProbe(m core.ProbeMsg, seq uint64) {
 	st := c.byID[m.From]
 	if st == nil {
 		c.violate("probe from unknown CP %v", m.From)
 		return
 	}
-	if st.lost || st.bye {
+	if (st.lost || st.bye) && seq > st.verdictMark {
 		c.violate("cp %v: probe (cycle %d attempt %d) after terminal verdict", m.From, m.Cycle, m.Attempt)
 		return
 	}
-	if st.removed {
+	if st.removed && seq > st.removedMark {
 		c.violate("cp %v: probe (cycle %d attempt %d) after removal", m.From, m.Cycle, m.Attempt)
 		return
 	}

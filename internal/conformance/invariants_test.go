@@ -3,11 +3,16 @@ package conformance
 import (
 	"net/netip"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"presence/internal/core"
+	"presence/internal/core/naive"
+	"presence/internal/fleet"
 	"presence/internal/ident"
 	"presence/internal/memnet"
+	"presence/internal/simnet"
 	"presence/internal/wire"
 )
 
@@ -26,13 +31,24 @@ func newTestChecker(t *testing.T, id ident.NodeID) *Checker {
 	return c
 }
 
+// sends numbers fed events the way memnet numbers sends (SendSeq), so
+// a mark taken between two feeds separates them into before and after.
+var sends uint64
+
 func feed(t *testing.T, c *Checker, msg core.Message, from, to netip.AddrPort, v memnet.Verdict) {
+	t.Helper()
+	sends++
+	feedSent(t, c, msg, from, to, v, sends)
+}
+
+// feedSent feeds one event that the network counted as send number seq.
+func feedSent(t *testing.T, c *Checker, msg core.Message, from, to netip.AddrPort, v memnet.Verdict, seq uint64) {
 	t.Helper()
 	frame, err := wire.Encode(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.OnPacket(memnet.PacketEvent{From: from, To: to, Frame: frame, Verdict: v})
+	c.OnPacket(memnet.PacketEvent{From: from, To: to, Frame: frame, Verdict: v, SendSeq: seq})
 }
 
 func probe(t *testing.T, c *Checker, id ident.NodeID, cycle uint32, attempt uint8, v memnet.Verdict) {
@@ -79,7 +95,7 @@ func TestCheckerAcceptsConformingRun(t *testing.T) {
 	probe(t, c, id, 102, 1, memnet.Lost)
 	probe(t, c, id, 102, 2, memnet.Lost)
 	probe(t, c, id, 102, 3, memnet.Lost)
-	c.CPLost(id)
+	c.CPLost(id, sends)
 	wantClean(t, c)
 }
 
@@ -90,7 +106,7 @@ func TestCheckerAbsentBudget(t *testing.T) {
 	c := newTestChecker(t, id)
 	probe(t, c, id, 100, 0, memnet.Lost)
 	probe(t, c, id, 100, 1, memnet.Lost)
-	c.CPLost(id)
+	c.CPLost(id, sends)
 	wantViolation(t, c, "budget not exhausted")
 }
 
@@ -136,12 +152,12 @@ func TestCheckerAttemptDiscipline(t *testing.T) {
 func TestCheckerByeBeforeSilence(t *testing.T) {
 	const id ident.NodeID = 7
 	c := newTestChecker(t, id)
-	c.CPBye(id)
+	c.CPBye(id, sends)
 	wantViolation(t, c, "without a delivered bye frame")
 
 	c2 := newTestChecker(t, id)
 	feed(t, c2, core.ByeMsg{From: 1}, devAddr, cpShard, memnet.Delivered)
-	c2.CPBye(id)
+	c2.CPBye(id, sends)
 	wantClean(t, c2)
 	probe(t, c2, id, 100, 0, memnet.Delivered)
 	wantViolation(t, c2, "after terminal verdict")
@@ -152,9 +168,9 @@ func TestCheckerByeBeforeSilence(t *testing.T) {
 func TestCheckerRemovedCP(t *testing.T) {
 	const id ident.NodeID = 7
 	c := newTestChecker(t, id)
-	probe(t, c, id, 100, 0, memnet.Delivered)
-	c.CPRemoved(id)
-	probe(t, c, id, 100, 1, memnet.Delivered)
+	feedSent(t, c, core.ProbeMsg{From: id, Cycle: 100, Attempt: 0}, cpShard, devAddr, memnet.Delivered, 1)
+	c.CPRemoved(id, 1)
+	feedSent(t, c, core.ProbeMsg{From: id, Cycle: 100, Attempt: 1}, cpShard, devAddr, memnet.Delivered, 2)
 	wantViolation(t, c, "after removal")
 
 	c2 := newTestChecker(t, id)
@@ -193,11 +209,90 @@ func TestCheckerFrameDirection(t *testing.T) {
 
 	c2 := newTestChecker(t, id)
 	feed(t, c2, core.ByeMsg{From: 1}, rogue, cpShard, memnet.Delivered)
-	c2.CPBye(id)
+	c2.CPBye(id, sends)
 	wantViolation(t, c2, "without a delivered bye frame")
 
 	c3 := newTestChecker(t, id)
 	probe(t, c3, id, 100, 0, memnet.Delivered)
 	feed(t, c3, core.ProbeMsg{From: id, Cycle: 100, Attempt: 1}, cpShard, rogue, memnet.Delivered)
 	wantViolation(t, c3, "not the device")
+}
+
+// TestCheckerRemovalBySendOrder forces the interleaving behind the
+// `probe … after removal` flake: with every datagram 20 ms in flight, a
+// probe the fleet sent just before ControlPoint.Remove returned is
+// delivered, and reported to the checker, after the removal was marked.
+// Judged by send order it is clean. A probe sent after the mark is
+// still a violation.
+func TestCheckerRemovalBySendOrder(t *testing.T) {
+	const id ident.NodeID = 7
+	net := memnet.New(memnet.Faults{Delay: simnet.Constant(20 * time.Millisecond)})
+	defer net.Close()
+	dev, err := net.Listen() // a silent device: probes land, nothing answers
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewChecker(core.RetransmitConfig{})
+	c.SetDevice(dev.LocalAddrPort())
+	var mark atomic.Uint64 // zero until the removal is marked
+	var lateButEarly atomic.Int64
+	net.Observe(func(ev memnet.PacketEvent) {
+		if m := mark.Load(); m != 0 && ev.Verdict == memnet.Delivered && ev.SendSeq <= m {
+			lateButEarly.Add(1)
+		}
+		c.OnPacket(ev)
+	})
+
+	f, err := fleet.New(fleet.Config{Shards: 1,
+		Transport: fleet.TransportFunc(func(int) (fleet.PacketConn, error) { return net.Listen() })})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	policy, err := naive.NewPolicy(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RegisterCP(id)
+	cp, err := f.AddControlPoint(fleet.CPConfig{ID: id, Device: 1, DeviceAddrPort: dev.LocalAddrPort(), Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetShard(id, f.Addrs()[0])
+	cp.Remove() // the first probe is on the wire, 20 ms from delivery
+	m := net.Counters().Sent
+	c.CPRemoved(id, m)
+	mark.Store(m)
+	waitDelivered := func(n uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); net.Counters().Delivered < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of %d datagrams delivered", net.Counters().Delivered, n)
+			}
+		}
+	}
+	waitDelivered(m)
+	if lateButEarly.Load() == 0 {
+		t.Fatal("no probe sent before the mark was delivered after it: the interleaving was not forced")
+	}
+	wantClean(t, c)
+
+	// The runtime bug the rule exists for: a probe for the removed CP
+	// sent after the mark (from a stand-in socket).
+	rogue, err := net.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.Encode(core.ProbeMsg{From: id, Cycle: 1, Attempt: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rogue.WriteToUDPAddrPort(frame, dev.LocalAddrPort()); err != nil {
+		t.Fatal(err)
+	}
+	waitDelivered(m + 1)
+	wantViolation(t, c, "after removal")
 }

@@ -8,39 +8,36 @@ package fleet
 // 0 allocs/op hot path. The machinery here is deliberately shaped like
 // the PR-7 handoff path:
 //
-//   - Command inbox: every structural mutation (add/remove/migrate,
-//     config push) is a closure queued on the owning shard's bounded
-//     command inbox and executed by that shard's event loop at the top of
-//     its next iteration, woken by the same read-deadline poke handoffs
-//     use. Off-loop threads never hold a shard mutex across engine
-//     work, and the steady-state loop pays one extra atomic load per
-//     iteration — nothing per packet. (Harnesses that drive the loop
-//     themselves — HotPathBench fakes `started` without goroutines —
-//     fall back to executing the closure inline under the mutex.)
-//   - Bounded admission: the inbox rejects once rt.AdmissionQueue
-//     commands are already waiting (Counters.AdmissionRejected), so a
-//     runaway churn driver back-pressures instead of growing an
-//     unbounded queue behind a busy loop.
+//   - Command inbox: every entry into a shard from outside its loop —
+//     mutations, handle calls, scrapes — is a closure runOn queues on
+//     the shard's command inbox; the loop runs it at the top of its next
+//     iteration, woken by the same read-deadline poke handoffs use, and
+//     is the only code that touches shard state. The steady-state loop
+//     pays one atomic load per iteration — nothing per packet.
+//   - Bounded admission: admin commands are refused once
+//     rt.AdmissionQueue commands are already waiting
+//     (Counters.AdmissionRejected), so a runaway churn driver
+//     back-pressures instead of growing an unbounded queue behind a busy
+//     loop. Handle calls and reads pass no bound.
 //   - Drain/rebalance: DrainShard moves every control point off a shard
 //     onto the surviving shards (Rebalance moves them back to their
-//     NodeID-hash homes). A migration runs as one command on the source
-//     shard's loop and splices the node into the destination under both
-//     mutexes: the armed alarm re-arms at the exact same absolute tick
-//     (the wheel rounds deadlines identically, so nothing fires early),
-//     the in-flight (device, cycle) demux entry moves along and a
-//     forwarding entry on the source redirects the reply that may
-//     already be racing toward the old socket — no pending cycle is
-//     lost and no false verdict is manufactured. Routed (ReusePort)
-//     fleets embed the owning shard in the cycle number instead, so
-//     there the prober is re-seeded into the destination's cycle space
-//     (core.Prober.Rehome) and the in-flight cycle is abandoned
-//     verdict-free.
+//     NodeID-hash homes). A migration runs in two halves, each on one
+//     loop: a command on the source shard detaches the nodes and queues
+//     one splice command on the destination, which attaches them there.
+//     The armed alarm re-arms at the exact same absolute tick (the wheel
+//     rounds deadlines identically, so nothing fires early), the
+//     in-flight (device, cycle) demux entry moves along and a forwarding
+//     entry on the source redirects the reply that may already be racing
+//     toward the old socket — no pending cycle is lost and no false
+//     verdict is manufactured. Routed (ReusePort) fleets embed the
+//     owning shard in the cycle number instead, so there the prober is
+//     re-seeded into the destination's cycle space (core.Prober.Rehome)
+//     and the in-flight cycle is abandoned verdict-free.
 //   - Live config: RuntimeConfig carries every knob that is safe to
-//     flip on a running fleet (harden toggles, replay/pending windows,
-//     admission rates, per-device probe budgets, the inbox bound).
+//     flip on a running fleet (harden toggles, the pending window,
+//     per-device probe budgets, the inbox bound, the auth keys).
 //     SetConfig versions the master copy and pushes a snapshot to each
-//     shard through the inbox; readers on the hot path see their
-//     shard-local copy under the mutex they already hold.
+//     shard through the inbox; the hot path reads its shard-local copy.
 //   - Overload shedding: beyond the bounded inbox, a per-device probe
 //     budget (rt.PerDeviceProbeHz/Burst) meters how fast the fleet
 //     probes any single device; probes over budget are shed before they
@@ -66,6 +63,17 @@ import (
 // shallow enough that a stuck loop surfaces as back-pressure fast.
 const defaultAdmissionQueue = 1024
 
+// The Harden defenses' fixed parameters (RuntimeConfig.Harden): how
+// long accepted demux keys are remembered as replays, and each hosted
+// device's per-source probe admission — above the paper's nominal 10
+// probes/s DCPP device load even from one source address, so no honest
+// DCPP/SAPP workload is shed.
+const (
+	replayWindow     = 5 * time.Second
+	perSourceProbeHz = 15 // refill, probes/s
+	perSourceBurst   = 20 // bucket depth
+)
+
 // ErrAdmissionRejected reports an admin command refused because the
 // target shard's bounded command inbox was full (Counters.
 // AdmissionRejected). The fleet's state is unchanged; back off and
@@ -76,28 +84,17 @@ var ErrAdmissionRejected = errors.New("fleet: admission queue full")
 // control point to a shard it migrated away from.
 var errWrongShard = errors.New("fleet: node moved shards")
 
-// shardCommand is one admin mutation bound for a shard's event loop.
-// fn runs under the shard mutex like any engine call; done (buffered,
-// may be nil) receives its error.
+// shardCommand is one closure bound for a shard's event loop. fn runs
+// on the loop like any engine call; done (buffered, nil for a
+// migration's fire-and-forget splice) receives its error.
 type shardCommand struct {
 	fn   func(*shard) error
 	done chan error
 }
 
-// enqueueCmd queues c on the shard's command inbox and wakes the loop,
-// rejecting when the bounded queue is full. Safe from any goroutine.
-func (s *shard) enqueueCmd(c shardCommand) error {
-	if !s.cmd.put(c, int(s.fleet.admissionBound.Load())) {
-		s.admRejected.Add(1)
-		return ErrAdmissionRejected
-	}
-	s.conn.SetReadDeadline(pastDeadline) //nolint:errcheck // fails only when closed
-	return nil
-}
-
-// drainCommands executes every queued admin command. Runs on the shard
-// loop under the shard mutex, inside a send batch (so sends the
-// commands coalesce flush with the iteration's burst).
+// drainCommands executes every queued command. Runs on the shard loop,
+// inside a send batch (so sends the commands coalesce flush with the
+// iteration's burst).
 func (s *shard) drainCommands() {
 	q := s.cmd.take()
 	for i := range q {
@@ -114,24 +111,31 @@ func (s *shard) drainCommands() {
 	s.cmd.recycle(q)
 }
 
-// runOn executes fn on s's event loop via the command inbox and waits
-// for the result. When the loop is not running (fleet not Started, or
-// a harness drives the loop itself) fn executes inline under the shard
-// mutex — the same serialisation, just on the caller's goroutine.
-func (f *Fleet) runOn(s *shard, fn func(*shard) error) error {
+// runOn runs fn on s's event loop via the command inbox and waits for
+// its result: the only way code outside a shard's loop reaches its
+// state. Admin commands count against RuntimeConfig.AdmissionQueue
+// (ErrAdmissionRejected beyond it); handle calls and reads pass no
+// bound. Where no loop goroutine exists (before Start, or HotPathBench
+// driving the loop itself) fn runs inline: the caller owns the shard
+// there. Once the fleet is closed it returns errClosed.
+func (s *shard) runOn(admin bool, fn func(*shard) error) error {
+	if s.closed.Load() {
+		return errClosed
+	}
 	if !s.loopStarted.Load() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed {
-			return errClosed
-		}
 		s.tick() // no loop to have ticked for us
 		return fn(s)
 	}
-	done := make(chan error, 1)
-	if err := s.enqueueCmd(shardCommand{fn: fn, done: done}); err != nil {
-		return err
+	bound := 0
+	if admin {
+		bound = int(s.fleet.admissionBound.Load())
 	}
+	done := make(chan error, 1)
+	if !s.cmd.put(shardCommand{fn: fn, done: done}, bound) {
+		s.admRejected.Add(1)
+		return ErrAdmissionRejected
+	}
+	s.conn.SetReadDeadline(pastDeadline) //nolint:errcheck // fails only when closed
 	select {
 	case err := <-done:
 		return err
@@ -164,16 +168,16 @@ type RuntimeConfig struct {
 	//     device's address (Counters.RepliesForged otherwise, pending
 	//     entry kept so the genuine reply can still land).
 	//   - Replay window: accepted (device, cycle) keys are remembered for
-	//     ReplayWindow, telling replayed copies (Counters.RepliesReplayed)
-	//     apart from ordinary latecomers (DemuxDrops).
+	//     5 s, telling replayed copies (Counters.RepliesReplayed) apart
+	//     from ordinary latecomers (DemuxDrops).
 	//   - BYE source pinning + verification grace: a BYE from an address
 	//     other than the device's is dropped (Counters.ByesForged), and
 	//     even a well-sourced BYE for a healthy device triggers one
 	//     verification probe cycle (core.ProberOptions.VerifyBye) instead
 	//     of instant removal.
 	//   - Per-source probe admission: hosted devices answer each source
-	//     at most PerSourceProbeHz with PerSourceBurst slack; the excess
-	//     of an amplification flood is shed (Counters.ProbesShed).
+	//     at most 15 probes/s with a burst of 20; the excess of an
+	//     amplification flood is shed (Counters.ProbesShed).
 	//
 	// Off (the default), the runtime behaves exactly as the paper's
 	// protocols do — one spoofed frame can flip a verdict.
@@ -187,20 +191,6 @@ type RuntimeConfig struct {
 	// entry survives before the periodic sweep drops it (entries of
 	// completed cycles are removed inline). Zero means 30 s.
 	PendingTTL time.Duration
-	// ReplayWindow bounds how long an accepted (device, cycle) demux key
-	// is remembered to classify replayed replies. Zero means 5 s. Only
-	// used when Harden is set.
-	ReplayWindow time.Duration
-	// PerSourceProbeHz and PerSourceBurst parameterise the per-source
-	// probe admission token bucket of hosted devices (refill rate in
-	// probes/s and bucket depth). Zero means 15 Hz and 20 — above the
-	// paper's nominal 10 probes/s total DCPP device load even when one
-	// source address carries all of it, so no honest DCPP/SAPP workload
-	// is shed; raise both for protocols without device-controlled load
-	// pinning (the naive baseline grows linearly with population). Only
-	// used when Harden is set.
-	PerSourceProbeHz float64
-	PerSourceBurst   int
 	// PerDeviceProbeHz and PerDeviceBurst meter how fast this fleet's
 	// control points probe any single device — the overload-shedding
 	// budget. A probe over budget is shed before it reaches the wire
@@ -243,15 +233,6 @@ func (rc *RuntimeConfig) applyDefaults() {
 	if rc.PendingTTL == 0 {
 		rc.PendingTTL = 30 * time.Second
 	}
-	if rc.ReplayWindow == 0 {
-		rc.ReplayWindow = 5 * time.Second
-	}
-	if rc.PerSourceProbeHz == 0 {
-		rc.PerSourceProbeHz = 15
-	}
-	if rc.PerSourceBurst == 0 {
-		rc.PerSourceBurst = 20
-	}
 	if rc.PerDeviceProbeHz > 0 && rc.PerDeviceBurst == 0 {
 		rc.PerDeviceBurst = 16
 	}
@@ -264,11 +245,10 @@ func (rc *RuntimeConfig) applyDefaults() {
 }
 
 func (rc *RuntimeConfig) validate() error {
-	if rc.PendingTTL < 0 || rc.ReplayWindow < 0 {
+	if rc.PendingTTL < 0 {
 		return errors.New("fleet: negative TTL in runtime config")
 	}
-	if rc.PerSourceProbeHz < 0 || rc.PerSourceBurst < 0 ||
-		rc.PerDeviceProbeHz < 0 || rc.PerDeviceBurst < 0 {
+	if rc.PerDeviceProbeHz < 0 || rc.PerDeviceBurst < 0 {
 		return errors.New("fleet: negative rate or burst in runtime config")
 	}
 	if rc.AdmissionQueue < 0 {
@@ -306,8 +286,8 @@ func (f *Fleet) SetConfig(rc RuntimeConfig) (uint64, error) {
 	f.adminMu.Unlock()
 	f.admissionBound.Store(int64(rc.AdmissionQueue))
 	for _, s := range f.shards {
-		if err := f.runOn(s, func(sh *shard) error {
-			sh.applyConfigLocked(rc)
+		if err := s.runOn(true, func(sh *shard) error {
+			sh.applyConfig(rc)
 			return nil
 		}); err != nil {
 			return ver, err
@@ -324,10 +304,10 @@ func (f *Fleet) ConfigSnapshot() (RuntimeConfig, uint64) {
 	return f.rt, f.rtVer
 }
 
-// applyConfigLocked installs rc as the shard's live configuration,
+// applyConfig installs rc as the shard's live configuration,
 // allocating or dropping the optional state tables its toggles govern.
-// Runs under the shard mutex.
-func (s *shard) applyConfigLocked(rc RuntimeConfig) {
+// Runs on the shard loop.
+func (s *shard) applyConfig(rc RuntimeConfig) {
 	s.rt = rc
 	if rc.Harden {
 		if s.completed == nil {
@@ -346,12 +326,12 @@ func (s *shard) applyConfigLocked(rc RuntimeConfig) {
 	} else {
 		s.devBudget = nil
 	}
-	s.applyAuthLocked(&rc)
+	s.applyAuth(&rc)
 }
 
 // admitDeviceProbe charges one outgoing probe against the device's
-// token bucket, creating the bucket on first contact. Runs under the
-// shard mutex; shedding only (s.devBudget is non-nil).
+// token bucket, creating the bucket on first contact. Runs on the shard
+// loop; shedding only (s.devBudget is non-nil).
 func (s *shard) admitDeviceProbe(device ident.NodeID) bool {
 	now := s.now
 	b := s.devBudget[device]
@@ -400,31 +380,16 @@ func (f *Fleet) Draining() []bool {
 // id, wherever it is currently hosted. Equivalent to Remove on its
 // handle, addressed by id — the admin-API spelling.
 func (f *Fleet) RemoveControlPoint(id ident.NodeID) error {
-	f.mu.Lock()
-	closed := f.closed
-	f.mu.Unlock()
-	if closed {
-		return errClosed
-	}
 	f.adminMu.Lock()
 	n := f.dir[id]
 	f.adminMu.Unlock()
 	if n == nil {
 		return fmt.Errorf("fleet: control point %v not hosted", id)
 	}
-	for {
-		s := n.sh()
-		err := f.runOn(s, func(sh *shard) error {
-			if n.sh() != sh {
-				return errWrongShard // migrated while the command queued
-			}
-			sh.removeCPLocked(n)
-			return nil
-		})
-		if err != errWrongShard {
-			return err
-		}
-	}
+	return n.runOn(true, func(s *shard) error {
+		s.removeCP(n)
+		return nil
+	})
 }
 
 // RemoveDevice stops and unhooks a hosted device engine, freeing its
@@ -433,12 +398,6 @@ func (f *Fleet) RemoveControlPoint(id ident.NodeID) error {
 // exactly as if the device crashed; make the device Bye() first for a
 // graceful leave.
 func (f *Fleet) RemoveDevice(id ident.NodeID) error {
-	f.mu.Lock()
-	closed := f.closed
-	f.mu.Unlock()
-	if closed {
-		return errClosed
-	}
 	f.devMu.Lock()
 	defer f.devMu.Unlock()
 	f.adminMu.Lock()
@@ -448,7 +407,7 @@ func (f *Fleet) RemoveDevice(id ident.NodeID) error {
 		return fmt.Errorf("fleet: device %v not hosted", id)
 	}
 	s := dn.shard
-	if err := f.runOn(s, func(sh *shard) error {
+	if err := s.runOn(true, func(sh *shard) error {
 		if sh.device != dn {
 			return fmt.Errorf("fleet: device %v not hosted", id)
 		}
@@ -551,7 +510,7 @@ func (f *Fleet) adminReady() error {
 // Control points removed between snapshot and migration are skipped.
 func (f *Fleet) migrateFrom(src *shard, pick func(ident.NodeID) bool, target func(ident.NodeID) *shard) (int, error) {
 	var ids []ident.NodeID
-	if err := f.runOn(src, func(sh *shard) error {
+	if err := src.runOn(true, func(sh *shard) error {
 		for id := range sh.cps {
 			if pick(id) {
 				ids = append(ids, id)
@@ -575,92 +534,95 @@ func (f *Fleet) migrateFrom(src *shard, pick func(ident.NodeID) bool, target fun
 			continue
 		}
 		var m int
-		if err := f.runOn(src, func(sh *shard) error {
-			m = sh.migrateLocked(dst, g)
+		if err := src.runOn(true, func(sh *shard) error {
+			m = sh.migrate(dst, g)
 			return nil
 		}); err != nil {
 			return moved, err
 		}
 		moved += m
 	}
-	if moved > 0 {
-		f.migratedAny.Store(true)
-	}
 	return moved, nil
 }
 
-// migrateLocked splices the named control points out of s and into
-// dst. Runs on s's event loop under s's mutex and takes dst's mutex
-// for the whole batch — the one place shard mutexes nest, safe because
-// migrations are serialised by Fleet.migMu and no other path locks two
-// shards.
-//
-// Per node: the armed alarm's absolute tick is captured before Cancel
-// (Cancel bumps the generation and unlinks but leaves the deadline) and
-// re-armed on dst at the same tick — Schedule rounds up and never
-// fires early, so the alarm is at worst one poll late, never a false
-// timeout. On an unrouted fleet the in-flight (device, cycle) demux
-// entry moves to dst and a forwarding entry on s redirects the reply
-// that may already be racing toward the old socket (dispatchFrame
-// hands it off exactly like a ReusePort stray). On a routed fleet
-// cycle numbers embed the owning shard, so the prober is re-seeded
-// into dst's cycle space instead (core.Prober.Rehome) — the in-flight
-// cycle is abandoned without a verdict and a fresh one opens
-// immediately.
-func (s *shard) migrateLocked(dst *shard, ids []ident.NodeID) int {
+// migrate moves the named control points from s to dst in two halves,
+// each on one loop, so no loop waits on another: this half, on s's
+// loop, detaches the nodes and queues one splice command on dst, whose
+// loop attaches them; the file comment's Drain/rebalance entry says
+// what moves with a node. Cancel unlinks an armed alarm but leaves its
+// absolute deadline, which splice re-arms. Returns how many moved.
+func (s *shard) migrate(dst *shard, ids []ident.NodeID) int {
 	fl := s.fleet
-	dst.mu.Lock()
-	defer dst.mu.Unlock()
-	if dst.closed {
+	if dst.closed.Load() {
 		return 0
 	}
-	// dst's loop may be parked: bring its clock up before its flight
-	// events are stamped and before Rehome opens a cycle there.
-	dst.tick()
-	moved := 0
+	var moves []nodeMove
 	for _, id := range ids {
 		n := s.cps[id]
 		if n == nil {
 			continue
 		}
-		wasLinked := n.timer.linked()
-		at := time.Duration(n.timer.deadline) * s.wheel.tick
+		// From the first detach on, a BYE or announce landing on s fans
+		// out to the other watching shards.
+		fl.migratedAny.Store(true)
+		m := nodeMove{n: n, armed: n.timer.linked(), at: time.Duration(n.timer.deadline) * s.wheel.tick,
+			key: pendKey(n.device, n.lastCycle)}
 		s.wheel.Cancel(&n.timer)
-		delete(s.cps, id)
-		if w := s.watchers[n.device]; w != nil {
-			delete(w, n)
-			if len(w) == 0 {
-				delete(s.watchers, n.device)
-				fl.dropWatcher(n.device, s.index)
-			}
-		}
-		key := pendKey(n.device, n.lastCycle)
-		pp, hadPending := s.pending[key]
-		if hadPending && pp.cp == n {
-			delete(s.pending, key)
-		} else {
-			hadPending = false
-		}
-		if !n.stopped {
-			s.liveCPs--
-		}
-
-		n.owner.Store(dst)
-		dst.cps[id] = n
-		w := dst.watchers[n.device]
-		if w == nil {
-			w = make(map[*cpNode]struct{})
-			dst.watchers[n.device] = w
-		}
-		w[n] = struct{}{}
+		// dst watches the device before s stops watching it, so a BYE s
+		// fans out while the node is between the shards is handed to dst,
+		// whose loop runs the splice before that handoff (drainHandoffs).
 		fl.noteWatcher(n.device, dst.index)
-		if dst.auth.enabled {
+		m.pp = s.unhook(n)
+		moves = append(moves, m)
+	}
+	if len(moves) == 0 {
+		return 0
+	}
+	// The splice is queued before any owner pointer names dst: a handle
+	// call that reads dst queues behind it, and one that read s re-checks
+	// on s's loop after this command and follows the node (cpNode.runOn).
+	// From here on s reads nothing of the nodes but their pointers.
+	dst.cmd.put(shardCommand{fn: func(d *shard) error { d.splice(moves); return nil }}, 0)
+	dst.conn.SetReadDeadline(pastDeadline) //nolint:errcheck // fails only when closed
+	for _, m := range moves {
+		m.n.owner.Store(dst)
+		if m.pp.cp != nil && !fl.route {
+			if s.forwards == nil {
+				s.forwards = make(map[uint64]forwardEntry)
+			}
+			s.forwards[m.key] = forwardEntry{to: dst, at: s.now}
+		}
+	}
+	return len(moves)
+}
+
+// nodeMove is one control point between a migration's two halves.
+type nodeMove struct {
+	n     *cpNode
+	armed bool          // its alarm was linked, due at at
+	at    time.Duration // absolute
+	key   uint64        // its in-flight cycle's demux key
+	pp    pendingProbe  // the entry under key; cp nil if s held none
+}
+
+// splice attaches migrated control points: migrate's second half, run
+// on dst's loop as the command the source queued.
+func (s *shard) splice(moves []nodeMove) {
+	for _, m := range moves {
+		n := m.n
+		// The source stores the same pointer after queueing this command;
+		// storing it first here means the engine calls below see s.
+		n.owner.Store(s)
+		// hook notes s as a watcher again: s may have dropped the bit the
+		// source set, if its own last watcher of the device left meanwhile.
+		s.hook(n)
+		if s.auth.enabled {
 			// Re-point the node at the destination's per-device auth state,
 			// carrying the v2 high-water mark along so a migration cannot
 			// reopen the downgrade window. The pair schedules stay: every
 			// shard derives them from the same masters, and a divergent key
 			// epoch re-derives on first use.
-			st := dst.devAuthFor(n.device)
+			st := s.devAuthFor(n.device)
 			if n.devAuth != nil && n.devAuth.seenV2 {
 				st.seenV2 = true
 			}
@@ -668,40 +630,26 @@ func (s *shard) migrateLocked(dst *shard, ids []ident.NodeID) int {
 		} else {
 			n.devAuth = nil
 		}
-		if !n.stopped {
-			dst.liveCPs++
+		if m.armed {
+			s.wheel.Schedule(&n.timer, m.at)
 		}
-		if wasLinked {
-			dst.wheel.Schedule(&n.timer, at)
-		}
-		if fl.route {
-			n.prober.Rehome(routedCycleSeed(cycleSeed(id), dst.index))
-		} else if hadPending {
-			if old, ok := dst.pending[key]; ok && old.cp != n {
-				dst.counters.DemuxCollisions++
+		if s.fleet.route {
+			n.prober.Rehome(routedCycleSeed(cycleSeed(n.id), s.index))
+		} else if m.pp.cp != nil {
+			if old, ok := s.pending[m.key]; ok && old.cp != n {
+				s.counters.DemuxCollisions++
 			}
-			dst.pending[key] = pp
-			if s.forwards == nil {
-				s.forwards = make(map[uint64]forwardEntry)
-			}
-			s.forwards[key] = forwardEntry{to: dst, at: s.now}
+			s.pending[m.key] = m.pp
 		}
-		if dst.rec != nil {
+		if s.rec != nil {
 			// EvHandoff with no CP id: visible in /debug/flight, skipped by
 			// trace.Normalize so migrations cannot perturb the byte-identical
 			// per-CP timelines drain-equivalence tests compare.
-			dst.rec.Record(trace.Event{At: dst.now, Kind: trace.EvHandoff,
+			s.rec.Record(trace.Event{At: s.now, Kind: trace.EvHandoff,
 				Device: n.device, Cycle: n.lastCycle})
 		}
-		dst.counters.Migrations++
-		moved++
+		s.counters.Migrations++
 	}
-	if moved > 0 {
-		// Wake dst's loop: it may be parked past the earliest alarm that
-		// just landed in its wheel.
-		dst.conn.SetReadDeadline(pastDeadline) //nolint:errcheck // fails only when closed
-	}
-	return moved
 }
 
 // forwardEntry redirects the reply of a migrated in-flight probe cycle:
@@ -739,9 +687,9 @@ func (k VerdictKind) String() string {
 }
 
 // VerdictEvent is one terminal presence verdict, delivered to
-// Config.Verdicts. It fires on the shard event loop under the shard
-// mutex — handlers must be cheap, must not block and must not call
-// back into the fleet (same contract as CPConfig.Listener).
+// Config.Verdicts. It fires on the shard event loop — handlers must be
+// cheap, must not block and must not call back into the fleet (same
+// contract as CPConfig.Listener).
 type VerdictEvent struct {
 	CP     ident.NodeID
 	Device ident.NodeID

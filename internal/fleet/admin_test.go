@@ -72,26 +72,32 @@ func TestRemoveControlPointByID(t *testing.T) {
 }
 
 // TestAdmissionQueueBound pins the overload contract of the command
-// inbox: with the shard loop wedged (the test holds the shard mutex,
-// so the loop cannot drain), commands beyond RuntimeConfig.
-// AdmissionQueue are refused with ErrAdmissionRejected, the counter
-// advances, and the refused mutation leaves no trace once the loop
-// resumes.
+// inbox: with the shard loop wedged (it runs a command that blocks
+// until the test releases it, so the loop cannot drain), commands
+// beyond RuntimeConfig.AdmissionQueue are refused with
+// ErrAdmissionRejected, the counter advances, and the refused mutation
+// leaves no trace once the loop resumes.
 func TestAdmissionQueueBound(t *testing.T) {
 	f := startedFleet(t, Config{Shards: 2, RuntimeConfig: RuntimeConfig{AdmissionQueue: 1}})
 	dev := addDCPPDevice(t, f, 1, fastDCPP())
 	cp := addDCPPCP(t, f, 70, 1, dev.Addr().String(), nil)
 	s := f.shards[cp.Shard()]
 
-	s.mu.Lock()
+	wedged, release := make(chan struct{}), make(chan struct{})
+	go s.runOn(false, func(*shard) error { //nolint:errcheck // the wedge only blocks
+		close(wedged)
+		<-release
+		return nil
+	})
+	<-wedged
 	// Fill the single inbox slot with an inert command...
-	if err := s.enqueueCmd(shardCommand{fn: func(*shard) error { return nil }}); err != nil {
-		s.mu.Unlock()
-		t.Fatal(err)
+	if !s.cmd.put(shardCommand{fn: func(*shard) error { return nil }}, 1) {
+		close(release)
+		t.Fatal("the inert command was refused by an empty inbox")
 	}
 	// ...so the public mutation API must now back-pressure.
 	err := f.RemoveControlPoint(70)
-	s.mu.Unlock()
+	close(release)
 	if !errors.Is(err, ErrAdmissionRejected) {
 		t.Fatalf("RemoveControlPoint against a full inbox = %v, want ErrAdmissionRejected", err)
 	}
@@ -169,9 +175,11 @@ func TestSetConfigVersioning(t *testing.T) {
 	// Every shard picked up the push (runOn round-trips through each
 	// loop, so by the time SetConfig returns the tables must exist).
 	for i, s := range f.shards {
-		s.mu.Lock()
-		harden, budget := s.rt.Harden, s.devBudget != nil
-		s.mu.Unlock()
+		var harden, budget bool
+		s.runOn(false, func(s *shard) error { //nolint:errcheck // open fleet
+			harden, budget = s.rt.Harden, s.devBudget != nil
+			return nil
+		})
 		if !harden || !budget {
 			t.Fatalf("shard %d missed the config push: harden=%v budget=%v", i, harden, budget)
 		}
@@ -181,9 +189,11 @@ func TestSetConfigVersioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range f.shards {
-		s.mu.Lock()
-		leaked := s.devBudget != nil || s.completed != nil || s.sources != nil
-		s.mu.Unlock()
+		var leaked bool
+		s.runOn(false, func(s *shard) error { //nolint:errcheck // open fleet
+			leaked = s.devBudget != nil || s.completed != nil || s.sources != nil
+			return nil
+		})
 		if leaked {
 			t.Fatalf("shard %d kept optional tables after config rollback", i)
 		}

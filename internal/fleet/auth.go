@@ -81,7 +81,7 @@ var errAuthRequireNoKey = errors.New("fleet: AuthRequire set without an auth key
 
 // authPlane is one shard's authentication state: the live master
 // secrets and the epoch node-cached schedules are derived under.
-// Guarded by the shard mutex like everything the dispatch path reads.
+// Owned by the shard loop like everything the dispatch path reads.
 type authPlane struct {
 	enabled bool
 	require bool
@@ -118,10 +118,10 @@ type peerAuthState struct {
 	seenV2 bool
 }
 
-// applyAuthLocked folds the runtime config's auth fields into the
-// shard's key plane: enable, disable, or rotate with grace. Runs under
-// the shard mutex (from applyConfigLocked).
-func (s *shard) applyAuthLocked(rc *RuntimeConfig) {
+// applyAuth folds the runtime config's auth fields into the shard's
+// key plane: enable, disable, or rotate with grace. Runs on the shard
+// loop (from applyConfig).
+func (s *shard) applyAuth(rc *RuntimeConfig) {
 	a := &s.auth
 	switch {
 	case len(rc.AuthKey) == 0:
@@ -158,8 +158,8 @@ func deriveOrNil(master []byte, info string) *wire.AuthKey {
 
 // verifyDual checks a v2 frame against a current/previous schedule
 // pair: the current key, then — inside the rotation grace — the
-// previous one (Counters.AuthStaleKey). Counts the outcome. Runs under
-// the shard mutex.
+// previous one (Counters.AuthStaleKey). Counts the outcome. Runs on
+// the shard loop.
 func (s *shard) verifyDual(cur, prev *wire.AuthKey, f *wire.Frame) bool {
 	if cur != nil && cur.VerifyFrame(f) {
 		s.counters.AuthVerified++
@@ -176,7 +176,7 @@ func (s *shard) verifyDual(cur, prev *wire.AuthKey, f *wire.Frame) bool {
 
 // ensureCPAuth refreshes a control point's pair-key schedules (and its
 // devAuth pointer) for the shard's current key epoch. Cheap when
-// already current: one comparison. Runs under the shard mutex.
+// already current: one comparison. Runs on the shard loop.
 func (s *shard) ensureCPAuth(n *cpNode) {
 	a := &s.auth
 	if !a.enabled {
@@ -200,8 +200,8 @@ func (s *shard) ensureCPAuth(n *cpNode) {
 // devAuthFor returns the shard's auth state for a device, creating it
 // if needed and refreshing its broadcast schedules to the current
 // epoch. Only call for devices this shard watches or fans out for (the
-// table must stay bounded by the watched population). Runs under the
-// shard mutex.
+// table must stay bounded by the watched population). Runs on the
+// shard loop.
 func (s *shard) devAuthFor(id ident.NodeID) *devAuthState {
 	st := s.devAuth[id]
 	if st == nil {
@@ -225,7 +225,7 @@ func (s *shard) devAuthFor(id ident.NodeID) *devAuthState {
 }
 
 // ensurePeerAuth refreshes a hosted device's pair schedules for peer
-// cp to the current epoch. Runs under the shard mutex.
+// cp to the current epoch. Runs on the shard loop.
 func (s *shard) ensurePeerAuth(st *peerAuthState, cp, device ident.NodeID) {
 	a := &s.auth
 	if st.epoch == a.epoch && st.cur != nil {
@@ -245,8 +245,8 @@ func (s *shard) ensurePeerAuth(st *peerAuthState, cp, device ident.NodeID) {
 // high-water mark), a v1 frame is rejected once the device has ever
 // spoken v2 (or always, under Require). On rejection the pending entry
 // is kept — the genuine reply may still be on the wire, so a forgery
-// cannot starve the cycle into a false verdict. Runs under the shard
-// mutex.
+// cannot starve the cycle into a false verdict. Runs on the shard
+// loop.
 func (s *shard) authCheckReply(n *cpNode, f *wire.Frame) bool {
 	if f.Version == wire.VersionAuth {
 		s.ensureCPAuth(n)
@@ -270,7 +270,7 @@ func (s *shard) authCheckReply(n *cpNode, f *wire.Frame) bool {
 // v2 contact from an unknown peer verifies against a freshly derived
 // schedule and caches it only on success — forged sender ids cannot
 // grow the cache, and genuine entries are bounded by (and evicted
-// with) the peer table. Runs under the shard mutex.
+// with) the peer table. Runs on the shard loop.
 func (s *shard) authCheckProbe(f *wire.Frame) bool {
 	d := s.device
 	st := d.peerAuth[f.From]
@@ -302,7 +302,7 @@ func (s *shard) authCheckProbe(f *wire.Frame) bool {
 }
 
 // authCheckBroadcast gates one BYE/announce against the device's
-// broadcast schedules and high-water mark. Runs under the shard mutex.
+// broadcast schedules and high-water mark. Runs on the shard loop.
 func (s *shard) authCheckBroadcast(st *devAuthState, f *wire.Frame) bool {
 	if f.Version == wire.VersionAuth {
 		if !s.verifyDual(st.cur, st.prev, f) {
@@ -323,7 +323,7 @@ func (s *shard) authCheckBroadcast(st *devAuthState, f *wire.Frame) bool {
 // when the device is watched here or anywhere in the fleet (the
 // fan-out set). Nil for unknown devices — their frames drop as demux
 // misses, same as pre-auth, so forged ids cannot grow the table. Runs
-// under the shard mutex.
+// on the shard loop.
 func (s *shard) broadcastAuthFor(id ident.NodeID) *devAuthState {
 	if st := s.devAuth[id]; st != nil {
 		return s.devAuthFor(id) // refresh epoch
@@ -345,8 +345,8 @@ func (f *Fleet) deviceWatched(id ident.NodeID) bool {
 
 // deviceSendKey picks the signing schedule for one message a hosted
 // device sends: the broadcast key for BYE/announce fan-out, the pair
-// key for replies to a specific control point. Runs under the shard
-// mutex; auth enabled.
+// key for replies to a specific control point. Runs on the shard loop;
+// auth enabled.
 func (s *shard) deviceSendKey(d *deviceNode, to ident.NodeID, msg core.Message) *wire.AuthKey {
 	switch msg.(type) {
 	case core.ByeMsg, *core.ByeMsg, core.AnnounceMsg, *core.AnnounceMsg:
@@ -367,7 +367,7 @@ func (s *shard) deviceSendKey(d *deviceNode, to ident.NodeID, msg core.Message) 
 }
 
 // deviceOwnKey returns the hosted device's broadcast signing schedule,
-// deriving it on first use per epoch. Runs under the shard mutex.
+// deriving it on first use per epoch. Runs on the shard loop.
 func (s *shard) deviceOwnKey(d *deviceNode) *wire.AuthKey {
 	a := &s.auth
 	if d.authEpoch != a.epoch || d.ownKey == nil {
@@ -377,10 +377,10 @@ func (s *shard) deviceOwnKey(d *deviceNode) *wire.AuthKey {
 	return d.ownKey
 }
 
-// sweepAuthLocked expires devAuth entries for devices no longer
-// watched anywhere — bounded state, like every other sweep target.
-// Runs on the shard loop under the mutex.
-func (s *shard) sweepAuthLocked() {
+// sweepAuth expires devAuth entries for devices no longer watched
+// anywhere — bounded state, like every other sweep target. Runs on the
+// shard loop.
+func (s *shard) sweepAuth() {
 	for id := range s.devAuth {
 		if len(s.watchers[id]) == 0 && !s.fleet.deviceWatched(id) {
 			delete(s.devAuth, id)

@@ -73,10 +73,10 @@ func TestClockCascadeTicksPerBatch(t *testing.T) {
 	f.clock = func() time.Duration { return time.Duration(reads.Add(1)) * time.Millisecond }
 
 	s := f.shards[0]
-	var seen []time.Duration // appended under the shard mutex by the loop
+	var seen []time.Duration // appended by the loop; read after done
 	done := make(chan struct{})
 	nodes := make([]cpNode, alarms)
-	s.mu.Lock()
+	// Scheduled before Start: no loop runs yet, so the test owns the shard.
 	for i := range nodes {
 		n := &nodes[i]
 		n.owner.Store(s)
@@ -88,7 +88,6 @@ func TestClockCascadeTicksPerBatch(t *testing.T) {
 		}
 		s.wheel.Schedule(&n.timer, due)
 	}
-	s.mu.Unlock()
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +97,8 @@ func TestClockCascadeTicksPerBatch(t *testing.T) {
 		t.Fatal("the cascade never fired")
 	}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	// close(done) came after the last append: seen is complete and the
+	// loop no longer writes it.
 	distinct := 1
 	for i, at := range seen {
 		if at < due {
@@ -303,9 +302,11 @@ func TestClockFreshOnExternalEntry(t *testing.T) {
 
 	at = time.Duration(clk.Add(int64(time.Hour)))
 	dev.Bye()
-	s.mu.Lock()
-	now := s.now
-	s.mu.Unlock()
+	var now time.Duration
+	s.runOn(false, func(s *shard) error { //nolint:errcheck // open fleet
+		now = s.now
+		return nil
+	})
 	if now != at {
 		t.Errorf("after Device.Bye the shard clock reads %v, want the fresh read %v", now, at)
 	}

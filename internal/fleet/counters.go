@@ -46,7 +46,7 @@ type Counters struct {
 	// arrived from an address other than the device's (Harden only).
 	ByesForged uint64
 	// RepliesReplayed counts replies for a (device, cycle) accepted
-	// within the last Config.ReplayWindow — replayed copies, as opposed
+	// within the last replay window (5 s) — replayed copies, as opposed
 	// to the never-pending latecomers in DemuxDrops (Harden only).
 	RepliesReplayed uint64
 	// ProbesShed counts probes to a hosted device dropped by per-source

@@ -42,10 +42,14 @@
 // queue; Counters.SyscallsIn/Out expose the realised calls-per-packet
 // ratio.
 //
-// The single-threaded engine contract holds per shard: every engine
-// call (packet dispatch, alarm expiry, lifecycle) runs under the
-// shard's mutex, so the exact engine code from internal/core runs
-// unchanged.
+// The single-threaded engine contract holds per shard: a shard's state
+// belongs to its loop goroutine alone. Every engine call (packet
+// dispatch, alarm expiry, lifecycle) runs on that loop, and every entry
+// from outside it — admin commands, handle calls, scrapes — is a
+// closure on the shard's command inbox that the loop runs while the
+// caller waits (runOn). There is no shard mutex: a shard's behaviour
+// depends only on the order of its inbox, and the exact engine code
+// from internal/core runs unchanged.
 //
 // # Reply demultiplexing on a shared socket
 //
@@ -90,14 +94,14 @@
 //
 // # Stats scraping
 //
-// The shard mutex is a shard's only guard. Fleet.Snapshot holds each
-// shard's mutex for one struct copy — the counters plus five gauge
-// reads — so its values are exact, and it waits at most for the
-// critical section in progress (one timer cascade or one received
-// burst; an idle shard parks in the socket read without the mutex).
-// The loop pays nothing per iteration to be scrapeable; the benchmark's
-// udp-churn workload runs 20 Hz scrapes beside the packet path to keep
-// that trade honest (EXPERIMENTS.md "Guarding the shard once").
+// Fleet.Snapshot runs one command per shard on that shard's loop: a
+// struct copy of the counters plus five gauge reads, so its values are
+// exact. It waits for the loop to reach its inbox — at most the work in
+// progress (one timer cascade or one received burst; an idle shard is
+// woken from its socket read by the inbox poke). The loop pays one
+// atomic load per iteration to be scrapeable; the benchmark's udp-churn
+// workload runs 20 Hz scrapes beside the packet path to keep that trade
+// honest (EXPERIMENTS.md "Single-writer shards (PR 38)").
 //
 // # The shard clock
 //
@@ -110,13 +114,14 @@
 //   - at the top of each loop iteration: that read is the `now` the
 //     wheel is advanced to;
 //   - every Config.Batch firings inside a timer cascade or a queue of
-//     handoffs, and before each queued admin command after the first,
-//     so a 5 000-alarm join storm is not stamped with one instant;
+//     handoffs, and before each queued command after the first, so a
+//     5 000-alarm join storm is not stamped with one instant;
 //   - on entry to dispatchBatch: the burst's receive timestamp;
-//   - on every entry into a shard from outside its loop, which may be
-//     parked: lockShard (ControlPoint.Stats/Stopped/Restart/Remove),
-//     runOn's inline branch, Device.Bye/Announce, and the destination
-//     shard of a migration.
+//   - on runOn's inline branch, where no loop goroutine exists to have
+//     ticked. Every other entry from outside the loop (admin commands,
+//     handle calls, the destination half of a migration) is a queued
+//     command, stamped by the tick at the top of the iteration that
+//     drains it, or by the per-command tick above.
 //
 // Everything else reads the field: cpNode.Now and deviceNode.Now (so
 // every core.Prober and device engine), noteProbe's demux entry and
@@ -167,7 +172,7 @@
 // 0 allocs/op gate runs with telemetry on), and a bounded flight
 // recorder (internal/trace.Ring) of fixed-size probe-lifecycle events
 // (probe sent, reply matched, attempt expired, verdicts, handoffs)
-// written under the shard mutex. Fleet.Histograms merges the shards at
+// written by the shard loop. Fleet.Histograms merges the shards at
 // scrape time; Fleet.FlightSnapshot/WriteFlight dump the recorders;
 // internal/obs serves both over HTTP (/metrics in Prometheus text
 // format, /statusz, /debug/flight). Both planes are always on; only the
@@ -183,10 +188,11 @@
 // configuration (hardening toggles, TTLs, admission rates, the
 // per-device probe budget that sheds over-budget probes under
 // overload). Every mutation executes as a command on the owning
-// shard's bounded inbox — same wake path as the handoff inbox, one
-// atomic load per loop iteration on the steady state, refusals surface
-// as ErrAdmissionRejected. See admin.go for the full design, and
-// internal/obs (Config.Admin) for the HTTP spelling of this API.
+// shard's inbox, bounded for admin commands — same wake path as the
+// handoff inbox, one atomic load per loop iteration on the steady
+// state, refusals surface as ErrAdmissionRejected. See admin.go for
+// the full design, and internal/obs (Config.Admin) for the HTTP
+// spelling of this API.
 //
 // # Authenticated frames
 //
@@ -263,10 +269,11 @@ type Config struct {
 	ReusePort bool
 	// Verdicts, if non-nil, receives every terminal presence verdict
 	// (device lost, device bye) any hosted control point reaches. It
-	// fires on the shard event loop under the shard mutex — it must be
-	// cheap, must not block, and must not call back into the fleet. It
-	// is the fleet-wide hook admin consumers use where per-CP Listeners
-	// are impractical (control points added over the admin API).
+	// fires on the shard event loop — it must be cheap, must not block,
+	// and must not call back into the fleet (such a call would wait on
+	// the loop that is running it). It is the fleet-wide hook admin
+	// consumers use where per-CP Listeners are impractical (control
+	// points added over the admin API).
 	Verdicts func(VerdictEvent)
 	// RuntimeConfig is the startup value of every setting SetConfig can
 	// change later: it becomes configuration version 1. Its zero value
@@ -337,8 +344,8 @@ type Fleet struct {
 	closed  bool
 
 	// adminMu guards the runtime-admin state below — a leaf mutex like
-	// watchMu: taken under shard mutexes by register/remove, never held
-	// across a shard lock or a runOn (commands take it themselves).
+	// watchMu: taken by shard loops in register/remove, never held
+	// across a runOn (commands take it themselves).
 	adminMu sync.Mutex
 	// dir maps every hosted control point's id to its node, across
 	// shards — the admin plane's id→node directory. The node pointer is
@@ -351,18 +358,17 @@ type Fleet struct {
 	// until Rebalance clears the marks.
 	draining []bool
 	// rt and rtVer are the master runtime config and its version; each
-	// shard holds its own copy under its mutex (shard.rt).
+	// shard loop holds its own copy (shard.rt).
 	rt    RuntimeConfig
 	rtVer uint64
 
 	// devMu serialises device placement (AddDevice/RemoveDevice), which
 	// spans several shard commands.
 	devMu sync.Mutex
-	// migMu serialises DrainShard/Rebalance: at most one migration batch
-	// exists fleet-wide, making migrateLocked's src→dst mutex nesting
-	// safe.
+	// migMu serialises DrainShard/Rebalance: at most one migration runs
+	// fleet-wide, so shard order stays a deterministic migration order.
 	migMu sync.Mutex
-	// migratedAny flips true after the first successful migration and
+	// migratedAny flips true when the first migration detaches a node and
 	// never resets: it gates the unrouted bye/announce watcher fan-out,
 	// so fleets that never migrate pay one atomic load per bye and
 	// behave bit-identically to the pre-admin runtime.
@@ -415,7 +421,8 @@ func (b *srcBucket) take(now time.Duration, hz float64, burst int) bool {
 }
 
 // shard is one socket + event loop + timer wheel + the engines hashed
-// onto it.
+// onto it. Its loop is the only code that touches its state, except the
+// atomics and inboxes below; other goroutines go through runOn.
 type shard struct {
 	fleet  *Fleet
 	index  int
@@ -429,7 +436,6 @@ type shard struct {
 	recvRing []Datagram
 	recvBufs [][]byte
 
-	mu sync.Mutex
 	// now is the shard clock: the fleet clock as of the last tick(). Every
 	// engine (Env.Now) and every event stamp on this shard reads it
 	// instead of the wall clock — see "The shard clock" in the package
@@ -445,8 +451,7 @@ type shard struct {
 	completed map[uint64]time.Duration
 	sources   map[netip.AddrPort]*srcBucket
 	// rt is the shard's copy of the live runtime config, pushed through
-	// the command inbox by Fleet.SetConfig; the dispatch/sweep paths read
-	// it under the mutex they already hold.
+	// the command inbox by Fleet.SetConfig.
 	rt RuntimeConfig
 	// forwards redirects replies of migrated in-flight cycles to the
 	// control point's new shard (nil until a migration leaves one
@@ -467,8 +472,8 @@ type shard struct {
 	liveCPs  int
 	// sendQ is the coalescing send queue: engine sends encode into
 	// reusable slots and one WriteBatch flushes them per timer cascade /
-	// receive burst (inBatch true) or before an external caller returns
-	// (inBatch false). Guarded by mu, like everything the engines touch.
+	// receive burst (inBatch true), or per send where no loop batches
+	// (inBatch false: runOn's inline branch).
 	sendQ   []Datagram
 	inBatch bool
 	// scratchSAPP and scratchDCPP are reply-payload scratch: inbound
@@ -478,17 +483,18 @@ type shard struct {
 	scratchSAPP core.SAPPReply
 	scratchDCPP core.DCPPReply
 	sweeper     wheelTimer
-	closed      bool
+	closed      atomic.Bool // set by Fleet.Close: the loop exits, runOn refuses
 
 	// ho is the cross-shard handoff inbox (ReusePort routing): frames the
 	// kernel's flow hash landed on the wrong shard, queued here by the
 	// receiving shard and drained by this shard's loop. See handoff.go.
 	ho inbox[handoffFrame]
 
-	// cmd is the admin-command inbox (admin.go), bounded by
-	// RuntimeConfig.AdmissionQueue: structural mutations queued by
-	// off-loop threads, drained by this shard's loop right before the
-	// handoffs, woken by the same read-deadline poke.
+	// cmd is the command inbox (admin.go): every entry from outside the
+	// loop, queued by runOn (admin commands bounded by
+	// RuntimeConfig.AdmissionQueue) and by a migration's source shard,
+	// drained by this shard's loop right before the handoffs, woken by
+	// the same read-deadline poke.
 	cmd inbox[shardCommand]
 	// admRejected counts inbox rejects. Incremented off-loop (the loop
 	// never sees a rejected command), so it is an atomic that Snapshot
@@ -496,7 +502,8 @@ type shard struct {
 	admRejected atomic.Uint64
 	// loopStarted tells runOn whether a loop goroutine exists to hand a
 	// command to; false before Start and in harnesses that drive the
-	// loop themselves, where commands execute inline under mu.
+	// loop themselves, where commands execute inline on the caller's
+	// goroutine, which owns the shard there.
 	loopStarted atomic.Bool
 	// loopDone closes when the loop goroutine exits, unblocking runOn
 	// callers whose queued commands will never run.
@@ -504,11 +511,11 @@ type shard struct {
 
 	// hist is the shard's latency histogram set (telemetry.go), nil only
 	// in the hot-path harness's telemetry-off baseline. Recorded by the
-	// loop, snapshotted by scrapers without the mutex (the cells are
+	// loop, snapshotted by scrapers without a command (the cells are
 	// padded atomics).
 	hist *shardHists
 	// rec is the shard's flight recorder, nil only where hist is. Written
-	// and snapshotted only under mu.
+	// and snapshotted only on the loop.
 	rec *trace.Ring
 }
 
@@ -581,7 +588,7 @@ func New(cfg Config) (*Fleet, error) {
 			hist:     &shardHists{},
 			rec:      trace.NewRing(defaultFlightEvents),
 		}
-		s.applyConfigLocked(rt) // construction: no lock needed yet
+		s.applyConfig(rt) // construction: no loop runs yet
 		s.bconn, s.single = batchConn(conn, cfg.ForceSingleDatagram)
 		for j := range s.recvBufs {
 			s.recvBufs[j] = make([]byte, recvBufSize)
@@ -631,7 +638,7 @@ func wallClock() func() time.Duration {
 // It is the fleet clock's only caller on behalf of engines and event
 // stamps; where it runs is listed under "The shard clock" in the package
 // comment. A reader that steps backwards leaves the shard clock where it
-// was. Runs under the shard mutex.
+// was. Runs on the shard loop.
 func (s *shard) tick() time.Duration {
 	if t := s.fleet.clock(); t > s.now {
 		s.now = t
@@ -640,10 +647,11 @@ func (s *shard) tick() time.Duration {
 }
 
 // batchEnds reports whether handler i of a run the loop works through
-// under one lock hold — a timer cascade, a queue of handoffs — is the
-// first after a full Config.Batch of them. Such runs tick there, which
-// is what bounds the shard clock's staleness to one batch of handlers:
-// a join storm or a mass timeout is not stamped with one instant.
+// without returning to the socket — a timer cascade, a queue of
+// handoffs — is the first after a full Config.Batch of them. Such runs
+// tick there, which is what bounds the shard clock's staleness to one
+// batch of handlers: a join storm or a mass timeout is not stamped with
+// one instant.
 func (s *shard) batchEnds(i int) bool { return i > 0 && i%s.fleet.cfg.Batch == 0 }
 
 // Start launches the shard event loops. Nodes may be added once the
@@ -659,9 +667,8 @@ func (f *Fleet) Start() error {
 	}
 	f.started = true
 	for _, s := range f.shards {
-		s.mu.Lock()
+		// No loop runs yet: this goroutine still owns the shard.
 		s.wheel.Schedule(&s.sweeper, s.tick()+s.rt.PendingTTL/2)
-		s.mu.Unlock()
 		f.wg.Add(1)
 		s.loopStarted.Store(true)
 		go s.loop()
@@ -681,9 +688,7 @@ func (f *Fleet) Close() error {
 	f.mu.Unlock()
 	var firstErr error
 	for _, s := range f.shards {
-		s.mu.Lock()
-		s.closed = true
-		s.mu.Unlock()
+		s.closed.Store(true)
 		if err := s.conn.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -694,21 +699,24 @@ func (f *Fleet) Close() error {
 
 // Snapshot gathers every shard's counters (each shard is exact and
 // internally consistent; shards are gathered one after another) and
-// their sum. It holds each shard's mutex for one struct copy, so it
-// waits at most for the critical section that shard's loop is in.
+// their sum. Each shard copies its own counters on its loop, so the
+// call waits at most for the work that loop is in. After Close a shard
+// reports only AdmissionRejected.
 func (f *Fleet) Snapshot() Snapshot {
 	snap := Snapshot{At: f.clock(), Shards: make([]Counters, len(f.shards))}
 	for i, s := range f.shards {
-		s.mu.Lock()
-		c := s.counters
-		c.WheelDepth = s.wheel.Len()
-		c.ControlPoints = len(s.cps)
-		c.LiveControlPoints = s.liveCPs
-		c.PendingProbes = len(s.pending)
-		if s.device != nil {
-			c.Devices = 1
-		}
-		s.mu.Unlock()
+		var c Counters
+		s.runOn(false, func(s *shard) error {
+			c = s.counters
+			c.WheelDepth = s.wheel.Len()
+			c.ControlPoints = len(s.cps)
+			c.LiveControlPoints = s.liveCPs
+			c.PendingProbes = len(s.pending)
+			if s.device != nil {
+				c.Devices = 1
+			}
+			return nil
+		})
 		c.AdmissionRejected = s.admRejected.Load()
 		snap.Shards[i] = c
 		snap.Total.Add(&c)
@@ -755,15 +763,12 @@ const recvBufSize = 2048
 // loop is the shard's event loop: advance the wheel, fire due alarms,
 // flush the sends they coalesced, sleep in a deadline-bounded batch
 // read, dispatch the burst, flush again, repeat. It is the shard's
-// only goroutine; every engine call it makes runs under the shard
-// mutex.
+// only goroutine and the only code that touches the shard's state.
 func (s *shard) loop() {
 	defer s.fleet.wg.Done()
 	defer close(s.loopDone)
 	for {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		if s.closed.Load() {
 			return
 		}
 		now := s.tick()
@@ -799,7 +804,6 @@ func (s *shard) loop() {
 				wait = d
 			}
 		}
-		s.mu.Unlock()
 		if wait < 0 {
 			// A timer is already due. Do NOT skip the socket: under
 			// sustained timer load (tens of thousands of armed CPs fire
@@ -833,14 +837,11 @@ func (s *shard) loop() {
 				}
 				return // socket closed (or unrecoverable): shard is done
 			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
+			if s.closed.Load() {
 				return
 			}
 			s.counters.SyscallsIn++
 			s.dispatchBatch(s.recvRing[:n])
-			s.mu.Unlock()
 			// A full ring means more is probably queued: drain it now
 			// (bounded, so timer work cannot rot) rather than after the
 			// next timer cascade — one cascade can send hundreds of
@@ -866,7 +867,7 @@ const maxDrainRounds = 8
 var pastDeadline = time.Unix(1, 0)
 
 // dispatchBatch decodes and routes one received burst, then flushes
-// every send the handlers coalesced. Runs under the shard mutex.
+// every send the handlers coalesced. Runs on the shard loop.
 func (s *shard) dispatchBatch(dgs []Datagram) {
 	s.tick() // the burst's receive timestamp
 	s.counters.PacketsIn += uint64(len(dgs))
@@ -892,7 +893,7 @@ func (s *shard) dispatchBatch(dgs []Datagram) {
 // dispatchFrame routes one decoded frame to a hosted engine. Inbound
 // replies hand engines shard-owned scratch payloads (valid only for
 // the handler call, per the pooled-message contract), so steady-state
-// dispatch allocates nothing. Runs under the shard mutex.
+// dispatch allocates nothing. Runs on the shard loop.
 //
 // With ReusePort routing on, a frame may belong to another shard — the
 // kernel demultiplexes by flow hash, not NodeID hash — and is then
@@ -1031,7 +1032,7 @@ func (s *shard) dispatchFrame(from netip.AddrPort, f *wire.Frame, handed bool) {
 // copy to every other shard hosting a watcher, and return this shard's
 // watchers of the device. A frame nobody watches is counted in
 // DemuxDrops; a rejected one was counted by the auth check. Either way
-// the returned set is empty. Runs under the shard mutex.
+// the returned set is empty. Runs on the shard loop.
 func (s *shard) localWatchers(from netip.AddrPort, f *wire.Frame, handed bool) map[*cpNode]struct{} {
 	if s.auth.enabled {
 		st := s.broadcastAuthFor(f.From)
@@ -1064,7 +1065,7 @@ func (s *shard) localWatchers(from netip.AddrPort, f *wire.Frame, handed bool) m
 // attempt of a cycle claims the (device, cycle) key, retransmits widen
 // the entry's acceptable-attempt bitmask. now is the caller's clock
 // read (cpNode.Send shares one read between the demux entry and the
-// flight recorder). Runs under the shard mutex.
+// flight recorder). Runs on the shard loop.
 func (s *shard) notePending(n *cpNode, cycle uint32, attempt uint8, now time.Duration) {
 	key := pendKey(n.device, cycle)
 	if n.lastCycle != cycle {
@@ -1089,22 +1090,22 @@ func (s *shard) notePending(n *cpNode, cycle uint32, attempt uint8, now time.Dur
 }
 
 // admitProbe charges one probe from the source's token bucket,
-// creating the bucket on first contact. Runs under the shard mutex;
+// creating the bucket on first contact. Runs on the shard loop;
 // Harden only (s.sources is non-nil).
 func (s *shard) admitProbe(from netip.AddrPort) bool {
 	now := s.now
 	b := s.sources[from]
 	if b == nil {
-		b = &srcBucket{tokens: float64(s.rt.PerSourceBurst), last: now}
+		b = &srcBucket{tokens: perSourceBurst, last: now}
 		s.sources[from] = b
 	}
-	return b.take(now, s.rt.PerSourceProbeHz, s.rt.PerSourceBurst)
+	return b.take(now, perSourceProbeHz, perSourceBurst)
 }
 
 // sweepPending drops demux entries whose cycle can no longer complete
 // (stopped CPs, lost replies), expires the replay window, idle
 // admission and device-budget buckets and stale migration forwards,
-// and re-arms itself. Runs on the shard loop under the mutex.
+// and re-arms itself. Runs on the shard loop.
 func (s *shard) sweepPending() {
 	now := s.now
 	ttl := s.rt.PendingTTL
@@ -1114,9 +1115,8 @@ func (s *shard) sweepPending() {
 		}
 	}
 	if s.completed != nil {
-		window := s.rt.ReplayWindow
 		for key, at := range s.completed {
-			if now-at > window {
+			if now-at > replayWindow {
 				delete(s.completed, key)
 			}
 		}
@@ -1124,7 +1124,7 @@ func (s *shard) sweepPending() {
 	if s.sources != nil {
 		// A bucket untouched for long enough to be full again carries no
 		// information; drop it so the table tracks active sources only.
-		idle := time.Duration(float64(s.rt.PerSourceBurst)/s.rt.PerSourceProbeHz*float64(time.Second)) + ttl
+		idle := perSourceBurst*time.Second/perSourceProbeHz + ttl
 		for addr, b := range s.sources {
 			if now-b.last > idle {
 				delete(s.sources, addr)
@@ -1149,18 +1149,18 @@ func (s *shard) sweepPending() {
 		}
 	}
 	if s.devAuth != nil {
-		s.sweepAuthLocked()
+		s.sweepAuth()
 	}
 	s.wheel.Schedule(&s.sweeper, now+ttl/2)
 }
 
 // sendTo encodes msg into the next reusable slot of the shard's
 // coalescing send queue — signed (wire v2) when k is non-nil,
-// unauthenticated v1 otherwise. Pooled messages are recycled. Inside a
-// loop batch (timer cascade, receive burst, Bye/Announce fan-out) the
-// queue flushes once at the end of the batch; on any other path it
-// flushes before the caller returns, so external sends are never
-// parked behind a sleeping event loop. Runs under the shard mutex.
+// unauthenticated v1 otherwise. Pooled messages are recycled. On the
+// loop (timer cascade, receive burst, queued commands) the queue
+// flushes once at the end of the batch; on runOn's inline branch, where
+// no loop batches, it flushes before the caller returns. Runs on the
+// shard loop.
 func (s *shard) sendTo(addr netip.AddrPort, msg core.Message, k *wire.AuthKey) {
 	defer core.Recycle(msg)
 	if len(s.sendQ) == cap(s.sendQ) {
@@ -1194,8 +1194,7 @@ func (s *shard) sendTo(addr netip.AddrPort, msg core.Message, k *wire.AuthKey) {
 // flushSends transmits the queued datagrams in order: one WriteBatch
 // call (one sendmmsg) moves the whole queue on the batch path, while
 // the single-datagram fallback pays one write per packet. A datagram
-// the transport rejects is counted and skipped. Runs under the shard
-// mutex.
+// the transport rejects is counted and skipped. Runs on the shard loop.
 func (s *shard) flushSends() {
 	q := s.sendQ
 	for off := 0; off < len(q); {

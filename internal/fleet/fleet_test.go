@@ -665,3 +665,53 @@ func TestFleetSnapshotAggregation(t *testing.T) {
 		t.Fatalf("no traffic in snapshot: %+v", snap.Total)
 	}
 }
+
+// BenchmarkHandleCall measures what a call into a running fleet from
+// outside its loops costs: ControlPoint.Stats, Device.Peers and
+// Fleet.Snapshot on a 2-shard loopback fleet hosting one DCPP device
+// and 16 control points. Each call is a round trip through the command
+// inbox of every shard it reads.
+func BenchmarkHandleCall(b *testing.B) {
+	f, err := New(Config{Shards: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Start(); err != nil {
+		b.Fatal(err)
+	}
+	dev, err := f.AddDevice(1, func(env core.Env) (core.Device, error) {
+		return dcpp.NewDevice(1, env, fastDCPP())
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cps []*ControlPoint
+	for i := 0; i < 16; i++ {
+		policy, err := dcpp.NewPolicy(dcpp.PolicyConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cp, err := f.AddControlPoint(CPConfig{ID: ident.NodeID(700 + i), Device: 1,
+			DeviceAddrPort: dev.Addr(), Policy: policy, Retransmit: fastRetransmit()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cps = append(cps, cp)
+	}
+	b.Run("Stats", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cps[i%len(cps)].Stats()
+		}
+	})
+	b.Run("Peers", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dev.Peers()
+		}
+	})
+	b.Run("Snapshot", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f.Snapshot()
+		}
+	})
+}

@@ -74,8 +74,8 @@ type handoffFrame struct {
 
 // handoffTo queues f on t's handoff inbox and wakes t's loop by
 // expiring its read deadline (the same trick the loop's own drain
-// rounds use). Runs under s's mutex; takes only t's leaf inbox mutex,
-// so shard mutexes never nest.
+// rounds use). Runs on s's loop; touches only t's inbox, never t's
+// state.
 func (s *shard) handoffTo(t *shard, from netip.AddrPort, f *wire.Frame) {
 	s.counters.HandoffsOut++
 	t.ho.put(handoffFrame{from: from, at: s.now, f: *f}, 0)
@@ -83,9 +83,14 @@ func (s *shard) handoffTo(t *shard, from netip.AddrPort, f *wire.Frame) {
 }
 
 // drainHandoffs dispatches every queued handoff frame locally. Runs on
-// the shard loop under the shard mutex, inside a send batch.
+// the shard loop, inside a send batch.
 func (s *shard) drainHandoffs() {
 	q := s.ho.take()
+	if s.cmd.pending.Load() {
+		// A command queued before one of these handoffs runs first: a
+		// migration's splice before the reply or BYE that needs its node.
+		s.drainCommands()
+	}
 	for i := range q {
 		if s.batchEnds(i) {
 			s.tick()
@@ -105,7 +110,7 @@ func (s *shard) drainHandoffs() {
 
 // fanOutToWatchers hands a bye/announce to every other shard hosting a
 // watcher of the frame's device, per the fleet's watcher mask. Reports
-// whether any shard took a copy. Runs under the shard mutex.
+// whether any shard took a copy. Runs on the shard loop.
 func (s *shard) fanOutToWatchers(from netip.AddrPort, f *wire.Frame) bool {
 	fl := s.fleet
 	fl.watchMu.Lock()
@@ -131,7 +136,7 @@ func (s *shard) fanOutToWatchers(from netip.AddrPort, f *wire.Frame) bool {
 // noteWatcher records that a shard hosts a watcher of device. The mask
 // is maintained for every fleet (unrouted fleets consult it only after
 // a migration has moved a CP off its device's home shard); watchMu is a
-// leaf below the shard mutexes.
+// leaf mutex, taken by shard loops.
 func (f *Fleet) noteWatcher(device ident.NodeID, shard int) {
 	f.watchMu.Lock()
 	m := f.watchMask[device]

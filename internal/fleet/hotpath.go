@@ -145,7 +145,6 @@ func (h *HotPathBench) PacketsPerStep() int { return 4 * len(h.cps) }
 // steady state a Step allocates nothing.
 func (h *HotPathBench) Step() {
 	s := h.s
-	s.mu.Lock()
 	h.deliverLocked() // probes → device → reply burst
 	h.deliverLocked() // replies → probers (cycle completes, alarm armed)
 	// The ticks shard.loop makes: one at the top of the iteration, then
@@ -161,7 +160,6 @@ func (h *HotPathBench) Step() {
 	}
 	s.inBatch = false
 	s.flushSends()
-	s.mu.Unlock()
 }
 
 // deliverLocked drains the ring through the shard's receive path —
@@ -185,8 +183,6 @@ func (h *HotPathBench) deliverLocked() {
 
 // Counters returns the shard's counters, for sanity checks.
 func (h *HotPathBench) Counters() Counters {
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
 	return h.s.counters
 }
 
@@ -196,8 +192,9 @@ func (h *HotPathBench) Close() error { return h.fleet.Close() }
 // ringConn is a zero-allocation loopback BatchPacketConn: writes queue
 // frames in preallocated slots and reads drain them, all attributed to
 // the conn's own address. It is single-goroutine by construction (the
-// harness serialises through the shard mutex) and never blocks — an
-// empty read reports a timeout, like a socket with a past deadline.
+// harness is the shard's loop, on the caller's goroutine) and never
+// blocks — an empty read reports a timeout, like a socket with a past
+// deadline.
 type ringConn struct {
 	addr   netip.AddrPort
 	bufs   [][]byte

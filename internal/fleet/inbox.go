@@ -9,7 +9,7 @@ import (
 // mutex around an append, a flag the loop polls, and two slices that
 // ping-pong so steady traffic allocates nothing. It is the only
 // cross-shard mutable state on the receive path, and a shard has two —
-// admin commands (bounded) and handoff frames.
+// commands (runOn's closures, admin ones bounded) and handoff frames.
 //
 // Producers put and then wake the loop by expiring its read deadline;
 // the loop checks pending at the top of every iteration and again

@@ -1,9 +1,66 @@
 package fleet
 
 import (
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+
+	"presence/internal/wire"
 )
+
+// TestShardStateIsLoopOwned pins the single-writer design: a shard's
+// state belongs to its loop goroutine, so the shard struct holds no
+// mutex. Other goroutines reach it through the command inbox, whose
+// leaf mutex lives inside inbox[T].
+func TestShardStateIsLoopOwned(t *testing.T) {
+	locks := map[reflect.Type]bool{
+		reflect.TypeOf(sync.Mutex{}):   true,
+		reflect.TypeOf(sync.RWMutex{}): true,
+	}
+	st := reflect.TypeOf(shard{})
+	for i := 0; i < st.NumField(); i++ {
+		fd := st.Field(i)
+		ft := fd.Type
+		if ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		if locks[ft] {
+			t.Errorf("shard.%s is a %v: shard state is owned by its loop, entries from outside go through runOn", fd.Name, fd.Type)
+		}
+	}
+}
+
+// TestCommandRunsBeforeLaterHandoff: a command queued before a handoff
+// runs before that handoff is dispatched, even when both arrive after
+// the loop's own command drain — the case of a migration's splice and
+// the forwarded reply or fanned-out BYE that needs the spliced node.
+// Driven on a shard with no loop, so the test is the loop.
+func TestCommandRunsBeforeLaterHandoff(t *testing.T) {
+	f, err := New(Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s := f.shards[0]
+	ran := false
+	var handedIn uint64
+	s.cmd.put(shardCommand{fn: func(s *shard) error {
+		ran, handedIn = true, s.counters.HandoffsIn
+		return nil
+	}}, 0)
+	s.ho.put(handoffFrame{f: wire.Frame{Kind: wire.KindReplyEmpty, From: 9, Cycle: 1}}, 0)
+	s.drainHandoffs()
+	if !ran || s.cmd.pending.Load() {
+		t.Fatalf("the queued command did not run (ran=%v, still pending=%v)", ran, s.cmd.pending.Load())
+	}
+	if handedIn != 0 {
+		t.Errorf("the command ran after %d handoff(s) were dispatched, want before", handedIn)
+	}
+	if c := s.counters; c.HandoffsIn != 1 || c.DemuxDrops != 1 {
+		t.Errorf("handoff not dispatched after the command: HandoffsIn=%d DemuxDrops=%d, want 1 and 1", c.HandoffsIn, c.DemuxDrops)
+	}
+}
 
 func TestInboxFIFOAndPending(t *testing.T) {
 	var b inbox[int]

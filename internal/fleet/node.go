@@ -30,8 +30,9 @@ type CPConfig struct {
 	// naive.Policy). Required; not shared with any other CP.
 	Policy core.DelayPolicy
 	// Listener observes presence events. Optional. It runs on the shard
-	// event loop under the shard mutex: it must be cheap, must not
-	// block, and must not call back into the fleet.
+	// event loop: it must be cheap, must not block, and must not call
+	// back into the fleet (such a call would wait on the loop that is
+	// running it).
 	Listener core.Listener
 	// Retransmit parameterises the probe cycle. Zero value = paper
 	// defaults.
@@ -42,13 +43,12 @@ type CPConfig struct {
 }
 
 // cpNode is a hosted control point: the prober engine plus its alarm
-// slot and demux state. It implements core.Env; every method runs under
-// the owning shard's mutex.
+// slot and demux state. It implements core.Env; every method runs on
+// the owning shard's loop.
 type cpNode struct {
 	// owner is the shard currently hosting the node. It moves only
-	// during a DrainShard/Rebalance migration, written under the old
-	// shard's mutex with the new shard's also held; engine callbacks
-	// always see the shard whose mutex they run under.
+	// during a DrainShard/Rebalance migration (migrate, splice); engine
+	// callbacks always see the shard whose loop they run on.
 	owner      atomic.Pointer[shard]
 	id         ident.NodeID
 	device     ident.NodeID
@@ -76,19 +76,21 @@ var _ core.Env = (*cpNode)(nil)
 // sh returns the shard currently owning this node.
 func (n *cpNode) sh() *shard { return n.owner.Load() }
 
-// lockShard locks and returns the owning shard, retrying when a
-// migration moved the node between the load and the lock (the pointer
-// is rewritten under the old shard's mutex, so holding the lock and
-// re-reading it is a consistent check).
-func (n *cpNode) lockShard() *shard {
+// runOn runs fn on the loop of the shard hosting n (shard.runOn),
+// following the node when a migration moved it while the command
+// waited: the command re-checks the owner on the loop it runs on, and
+// only that loop moves the node away.
+func (n *cpNode) runOn(admin bool, fn func(*shard) error) error {
 	for {
-		s := n.sh()
-		s.mu.Lock()
-		if n.sh() == s {
-			s.tick() // entry from outside the loop, which may be parked
-			return s
+		err := n.sh().runOn(admin, func(s *shard) error {
+			if n.sh() != s {
+				return errWrongShard
+			}
+			return fn(s)
+		})
+		if err != errWrongShard {
+			return err
 		}
-		s.mu.Unlock()
 	}
 }
 
@@ -156,8 +158,8 @@ func (n *cpNode) SetAlarm(at time.Duration) { n.sh().wheel.Schedule(&n.timer, at
 func (n *cpNode) StopAlarm() { n.sh().wheel.Cancel(&n.timer) }
 
 // cpListener wraps the user listener to maintain the shard's live-CP
-// gauge and deliver the fleet-wide verdict hook. It runs under the
-// shard mutex like any engine callback.
+// gauge and deliver the fleet-wide verdict hook. It runs on the shard
+// loop like any engine callback.
 type cpListener struct {
 	n     *cpNode
 	inner core.Listener
@@ -283,8 +285,8 @@ func (f *Fleet) AddControlPoint(cfg CPConfig) (*ControlPoint, error) {
 	}
 	f.dir[cfg.ID] = n
 	f.adminMu.Unlock()
-	if err := f.runOn(s, func(sh *shard) error {
-		sh.registerCPLocked(n)
+	if err := s.runOn(true, func(sh *shard) error {
+		sh.registerCP(n)
 		return nil
 	}); err != nil {
 		f.adminMu.Lock()
@@ -297,19 +299,10 @@ func (f *Fleet) AddControlPoint(cfg CPConfig) (*ControlPoint, error) {
 	return &ControlPoint{n: n}, nil
 }
 
-// registerCPLocked hooks a fully-constructed control point into the
-// shard and starts it probing. Runs under the shard mutex, on the
-// shard's event loop when it has one.
-func (s *shard) registerCPLocked(n *cpNode) {
-	s.cps[n.id] = n
-	w := s.watchers[n.device]
-	if w == nil {
-		w = make(map[*cpNode]struct{})
-		s.watchers[n.device] = w
-	}
-	w[n] = struct{}{}
-	s.fleet.noteWatcher(n.device, s.index)
-	s.liveCPs++
+// registerCP hooks a fully-constructed control point into the shard
+// and starts it probing. Runs on the shard loop.
+func (s *shard) registerCP(n *cpNode) {
+	s.hook(n)
 	if s.auth.enabled {
 		// Pre-derive the pair schedules so the first probe and its reply
 		// stay on the zero-allocation path.
@@ -318,18 +311,48 @@ func (s *shard) registerCPLocked(n *cpNode) {
 	n.prober.Start()
 }
 
-// removeCPLocked stops a control point and unhooks it from its shard
-// and from the fleet directory. Idempotent; runs under the shard mutex.
-func (s *shard) removeCPLocked(n *cpNode) {
+// removeCP stops a control point and unhooks it from its shard and
+// from the fleet directory, then flushes the send queue: when the
+// command returns, the transport has every send of the CP, including
+// any a command earlier in the same drain queued for it. Idempotent;
+// runs on the shard loop.
+func (s *shard) removeCP(n *cpNode) {
 	if n.removed {
 		return
 	}
 	n.removed = true
 	n.prober.Stop() // cancels the wheel alarm via StopAlarm
-	if !n.stopped {
-		n.stopped = true
-		s.liveCPs--
+	s.unhook(n)
+	n.stopped = true
+	fl := s.fleet
+	fl.adminMu.Lock()
+	if fl.dir[n.id] == n {
+		delete(fl.dir, n.id)
 	}
+	fl.adminMu.Unlock()
+	s.flushSends()
+}
+
+// hook enters n in the shard's control-point map, its device's watcher
+// set and, unless stopped, the live gauge. Runs on the shard loop.
+func (s *shard) hook(n *cpNode) {
+	s.cps[n.id] = n
+	w := s.watchers[n.device]
+	if w == nil {
+		w = make(map[*cpNode]struct{})
+		s.watchers[n.device] = w
+	}
+	w[n] = struct{}{}
+	s.fleet.noteWatcher(n.device, s.index)
+	if !n.stopped {
+		s.liveCPs++
+	}
+}
+
+// unhook undoes hook and takes n's demux entry out of the pending
+// table, returning it (cp nil when the shard held none for n). Runs on
+// the shard loop.
+func (s *shard) unhook(n *cpNode) pendingProbe {
 	delete(s.cps, n.id)
 	if w := s.watchers[n.device]; w != nil {
 		delete(w, n)
@@ -338,20 +361,20 @@ func (s *shard) removeCPLocked(n *cpNode) {
 			s.fleet.dropWatcher(n.device, s.index)
 		}
 	}
+	if !n.stopped {
+		s.liveCPs--
+	}
 	key := pendKey(n.device, n.lastCycle)
-	if old, ok := s.pending[key]; ok && old.cp == n {
-		delete(s.pending, key)
+	pp := s.pending[key]
+	if pp.cp != n {
+		return pendingProbe{}
 	}
-	fl := s.fleet
-	fl.adminMu.Lock()
-	if fl.dir[n.id] == n {
-		delete(fl.dir, n.id)
-	}
-	fl.adminMu.Unlock()
+	delete(s.pending, key)
+	return pp
 }
 
 // ControlPoint is the handle to a fleet-hosted control point. Its
-// methods serialise against the shard event loop.
+// methods run on the hosting shard's event loop and wait for it.
 type ControlPoint struct {
 	n *cpNode
 }
@@ -366,49 +389,55 @@ func (cp *ControlPoint) Device() ident.NodeID { return cp.n.device }
 // can change across a DrainShard/Rebalance).
 func (cp *ControlPoint) Shard() int { return cp.n.sh().index }
 
-// Stats returns the prober's cycle counters.
-func (cp *ControlPoint) Stats() core.ProberStats {
-	s := cp.n.lockShard()
-	defer s.mu.Unlock()
-	return cp.n.prober.Stats()
+// Stats returns the prober's cycle counters (zero once the fleet is
+// closed).
+func (cp *ControlPoint) Stats() (st core.ProberStats) {
+	cp.n.runOn(false, func(*shard) error { //nolint:errcheck // closed: zero stats
+		st = cp.n.prober.Stats()
+		return nil
+	})
+	return st
 }
 
-// Stopped reports whether the prober has stopped (device lost or bye).
-func (cp *ControlPoint) Stopped() bool {
-	s := cp.n.lockShard()
-	defer s.mu.Unlock()
-	return cp.n.prober.Stopped()
+// Stopped reports whether the prober has stopped (device lost or bye;
+// false once the fleet is closed).
+func (cp *ControlPoint) Stopped() (stopped bool) {
+	cp.n.runOn(false, func(*shard) error { //nolint:errcheck // closed: false
+		stopped = cp.n.prober.Stopped()
+		return nil
+	})
+	return stopped
 }
 
 // Restart resumes probing after the prober stopped.
 func (cp *ControlPoint) Restart() error {
-	s := cp.n.lockShard()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errClosed
-	}
-	if cp.n.removed {
-		return errors.New("fleet: control point removed")
-	}
-	if cp.n.stopped {
-		cp.n.stopped = false
-		s.liveCPs++
-	}
-	cp.n.prober.Start()
-	return nil
+	n := cp.n
+	return n.runOn(false, func(s *shard) error {
+		if n.removed {
+			return errors.New("fleet: control point removed")
+		}
+		if n.stopped {
+			n.stopped = false
+			s.liveCPs++
+		}
+		n.prober.Start()
+		return nil
+	})
 }
 
 // Remove stops the control point and unhooks it from the fleet. It is
-// idempotent; the handle is dead afterwards. Fleet.RemoveControlPoint
-// is the same operation addressed by id.
+// idempotent; the handle is dead afterwards. When it returns, the
+// transport has every datagram the control point sent. Fleet.
+// RemoveControlPoint is the same operation addressed by id.
 func (cp *ControlPoint) Remove() {
-	s := cp.n.lockShard()
-	defer s.mu.Unlock()
-	s.removeCPLocked(cp.n)
+	cp.n.runOn(false, func(s *shard) error { //nolint:errcheck // closed: nothing left to remove
+		s.removeCP(cp.n)
+		return nil
+	})
 }
 
 // deviceNode is a hosted device engine. It implements core.Env; every
-// method runs under the owning shard's mutex. Devices never migrate —
+// method runs on the owning shard's loop. Devices never migrate —
 // their probe address is the shard socket.
 type deviceNode struct {
 	shard   *shard
@@ -493,7 +522,7 @@ func (f *Fleet) AddDevice(id ident.NodeID, build DeviceBuilder) (*Device, error)
 	}
 	for _, s := range f.shards {
 		var dn *deviceNode
-		err := f.runOn(s, func(sh *shard) error {
+		err := s.runOn(true, func(sh *shard) error {
 			if sh.device != nil {
 				return errShardOccupied
 			}
@@ -547,58 +576,42 @@ func (d *Device) Addr() netip.AddrPort {
 }
 
 // Peers returns the number of distinct control points the device has
-// heard from (zero after RemoveDevice).
-func (d *Device) Peers() int {
-	s := d.n.shard
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d.n.removed {
-		return 0
-	}
-	return d.n.peers.Len()
-}
-
-// Bye announces a graceful leave to every known peer, coalescing the
-// fan-out into batched transport writes. A no-op after RemoveDevice.
-func (d *Device) Bye() {
-	s := d.n.shard
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d.n.removed {
-		return
-	}
-	s.tick() // entry from outside the loop
-	var k *wire.AuthKey
-	if s.auth.enabled {
-		k = s.deviceOwnKey(d.n)
-	}
-	s.inBatch = true
-	d.n.peers.Each(func(_ ident.NodeID, addr netip.AddrPort) {
-		s.sendTo(addr, core.ByeMsg{From: d.n.id}, k)
+// heard from (zero after RemoveDevice or Close).
+func (d *Device) Peers() (peers int) {
+	d.n.shard.runOn(false, func(*shard) error { //nolint:errcheck // closed: zero
+		if !d.n.removed {
+			peers = d.n.peers.Len()
+		}
+		return nil
 	})
-	s.inBatch = false
-	s.flushSends()
+	return peers
 }
 
-// Announce sends a presence announcement to every known peer,
-// coalescing the fan-out into batched transport writes. A no-op after
-// RemoveDevice.
+// Bye announces a graceful leave to every known peer (broadcast).
+func (d *Device) Bye() { d.broadcast(core.ByeMsg{From: d.n.id}) }
+
+// Announce sends a presence announcement to every known peer
+// (broadcast).
 func (d *Device) Announce(maxAge time.Duration) {
-	s := d.n.shard
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d.n.removed {
-		return
-	}
-	s.tick() // entry from outside the loop
-	var k *wire.AuthKey
-	if s.auth.enabled {
-		k = s.deviceOwnKey(d.n)
-	}
-	s.inBatch = true
-	d.n.peers.Each(func(_ ident.NodeID, addr netip.AddrPort) {
-		s.sendTo(addr, core.AnnounceMsg{From: d.n.id, MaxAge: maxAge}, k)
+	d.broadcast(core.AnnounceMsg{From: d.n.id, MaxAge: maxAge})
+}
+
+// broadcast sends m to every known peer from the device's shard loop,
+// coalescing the fan-out into batched transport writes that are on the
+// transport before it returns. A no-op after RemoveDevice or Close.
+func (d *Device) broadcast(m core.Message) {
+	d.n.shard.runOn(false, func(s *shard) error { //nolint:errcheck // closed: nothing to send
+		if d.n.removed {
+			return nil
+		}
+		var k *wire.AuthKey
+		if s.auth.enabled {
+			k = s.deviceOwnKey(d.n)
+		}
+		d.n.peers.Each(func(_ ident.NodeID, addr netip.AddrPort) {
+			s.sendTo(addr, m, k)
+		})
+		s.flushSends()
+		return nil
 	})
-	s.inBatch = false
-	s.flushSends()
 }

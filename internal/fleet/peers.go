@@ -12,7 +12,7 @@ import (
 // evicted ("implementable on small computing devices" implies bounded
 // state). Every hosted device routes its replies, byes and announces
 // through one; like the engines themselves it is not safe for
-// concurrent use — the device's shard mutex serialises access.
+// concurrent use — the device's shard loop is its only user.
 type peerTable struct {
 	max int
 	seq uint64

@@ -7,19 +7,19 @@ package fleet
 // a mean over a 100k-CP fleet hides exactly the tail a production
 // operator cares about. Each shard owns one private set of
 // cache-line-padded log₂ histograms (internal/metrics): the event loop
-// records into them with uncontended atomic adds under its own mutex's
-// protection, scrapers snapshot them with atomic loads and merge across
-// shards without taking any shard mutex (the flat Counters are the part
-// of a scrape that does: Fleet.Snapshot holds each shard's mutex for
-// one copy). Recording allocates nothing — the 0 allocs/op hot-path
-// gate runs with telemetry on.
+// records into them with uncontended atomic adds, scrapers snapshot
+// them with atomic loads and merge across shards without waiting on
+// any loop (the flat Counters are the part of a scrape that does:
+// Fleet.Snapshot runs one copy on each shard's loop). Recording
+// allocates nothing — the 0 allocs/op hot-path gate runs with
+// telemetry on.
 //
 // The flight recorder (internal/trace.Ring) keeps the newest N
 // probe-lifecycle events per shard: probe sent, reply matched, attempt
-// expired, verdict, handoff. It is written only under the shard mutex
-// on paths the loop already serialises, and dumped by briefly taking
-// each shard mutex in turn — the post-mortem "what led up to this
-// verdict" view that counters and histograms cannot reconstruct.
+// expired, verdict, handoff. It is written only by the shard loop and
+// dumped by one command on each loop in turn — the post-mortem "what
+// led up to this verdict" view that counters and histograms cannot
+// reconstruct.
 
 import (
 	"io"
@@ -94,8 +94,8 @@ func (f *Fleet) TelemetryEnabled() bool { return f.shards[0].hist != nil }
 func (f *Fleet) FlightRecorderEnabled() bool { return f.shards[0].rec != nil }
 
 // Histograms returns the merged cross-shard histogram snapshot. It
-// takes no shard mutex — histogram cells are atomics — so it never
-// stalls an event loop; zero-valued when telemetry is disabled.
+// waits on no loop — histogram cells are atomics — so it never stalls
+// an event loop; zero-valued when telemetry is disabled.
 func (f *Fleet) Histograms() Histograms {
 	var out Histograms
 	for _, s := range f.shards {
@@ -129,18 +129,19 @@ func (s *shard) histSnapshot() Histograms {
 }
 
 // FlightSnapshot copies every shard's retained flight-recorder events,
-// indexed by shard, oldest-first within each. It takes each shard mutex
-// briefly (shards are snapshotted one after another, so the view is
-// per-shard consistent, not global). Empty slices when the recorder is
-// disabled.
+// indexed by shard, oldest-first within each. Each shard copies its
+// own on its loop (shards are snapshotted one after another, so the
+// view is per-shard consistent, not global). Empty slices when the
+// recorder is disabled or the fleet is closed.
 func (f *Fleet) FlightSnapshot() [][]trace.Event {
 	out := make([][]trace.Event, len(f.shards))
 	for i, s := range f.shards {
-		s.mu.Lock()
-		if s.rec != nil {
-			out[i] = s.rec.Snapshot()
-		}
-		s.mu.Unlock()
+		s.runOn(false, func(s *shard) error { //nolint:errcheck // closed: empty
+			if s.rec != nil {
+				out[i] = s.rec.Snapshot()
+			}
+			return nil
+		})
 	}
 	return out
 }

@@ -33,9 +33,9 @@ type mmsghdr struct {
 // The header/iovec/sockaddr arrays are lazily sized to the caller's
 // batch and reused; after warm-up no call allocates.
 //
-// Reads are single-goroutine (the shard event loop) and writes are
-// serialised by the shard mutex, matching how the fleet drives it, so
-// the two scratch sets need no further locking.
+// Reads and writes both run on one goroutine (the shard event loop, or
+// the caller of runOn's inline branch), matching how the fleet drives
+// it, so the two scratch sets need no locking.
 type udpBatchConn struct {
 	udpPacketConn
 	raw syscall.RawConn
@@ -50,9 +50,9 @@ type udpBatchConn struct {
 
 	// zoneNames/zoneIDs cache IPv6 scope-id ↔ zone-name lookups so
 	// link-local traffic keeps its zone (as *net.UDPConn does) without
-	// an interface lookup per packet. Reads and writes each stay on
-	// their own goroutine (loop / shard mutex), and the two caches are
-	// per-direction, so no further locking is needed.
+	// an interface lookup per packet. Reads and writes stay on the
+	// shard's loop, and the two caches are per-direction, so no locking
+	// is needed.
 	zoneNames map[uint32]string
 	zoneIDs   map[string]uint32
 }

@@ -136,6 +136,14 @@ type PacketEvent struct {
 	// accepted from an endpoint — attack traffic, from the harness's
 	// point of view.
 	Injected bool
+	// SendSeq is the network's send count (Counters.Sent) when the
+	// datagram was sent: the k-th datagram accepted from an endpoint
+	// carries k, its duplicate copies carry k too, and an injected one
+	// carries the count at injection. A delayed datagram is reported at
+	// delivery, after later sends; SendSeq still says when it was sent,
+	// so comparing it with Counters.Sent read at some instant tells
+	// whether it was sent before or after that instant.
+	SendSeq uint64
 }
 
 // Observer receives packet events. It is called synchronously from
@@ -425,7 +433,7 @@ func (n *Network) drawPlan(l *link) faultPlan {
 
 // emit counts one datagram outcome and reports it to the observer.
 // Caller holds n.mu.
-func (n *Network) emit(from, to netip.AddrPort, frame []byte, v Verdict, dup, injected bool) {
+func (n *Network) emit(from, to netip.AddrPort, frame []byte, v Verdict, dup, injected bool, seq uint64) {
 	switch v {
 	case Delivered:
 		n.cnt.Delivered++
@@ -442,6 +450,7 @@ func (n *Network) emit(from, to netip.AddrPort, frame []byte, v Verdict, dup, in
 		n.observer(PacketEvent{
 			At: time.Since(n.epoch), From: from, To: to,
 			Frame: frame, Verdict: v, Duplicate: dup, Injected: injected,
+			SendSeq: seq,
 		})
 	}
 }
@@ -485,35 +494,36 @@ func (n *Network) sendLocked(from, to netip.AddrPort, b []byte) {
 		return
 	}
 	n.cnt.Sent++
+	seq := n.cnt.Sent
 	for _, mb := range n.middle {
 		if mb.Process(time.Since(n.epoch), from, to, b, Injector{n}) == Drop {
-			n.emit(from, to, b, Filtered, false, false)
+			n.emit(from, to, b, Filtered, false, false, seq)
 			return
 		}
 	}
-	n.forwardLocked(from, to, b, false)
+	n.forwardLocked(from, to, b, false, seq)
 }
 
 // forwardLocked applies the down check and the link fault plan to one
 // datagram — the tail of sendLocked, shared with middlebox injection.
-// Caller holds n.mu.
-func (n *Network) forwardLocked(from, to netip.AddrPort, b []byte, injected bool) {
+// seq is the datagram's PacketEvent.SendSeq. Caller holds n.mu.
+func (n *Network) forwardLocked(from, to netip.AddrPort, b []byte, injected bool, seq uint64) {
 	// An injected frame's source address is claimed, not real — an
 	// attacker can stamp a crashed host's address on a datagram it
 	// originates itself — so the down check binds only its destination.
 	if (!injected && n.down[from]) || n.down[to] {
-		n.emit(from, to, b, DroppedDown, false, injected)
+		n.emit(from, to, b, DroppedDown, false, injected, seq)
 		return
 	}
 	p := n.drawPlan(n.linkFor(from, to))
 	if p.lost {
-		n.emit(from, to, b, Lost, false, injected)
+		n.emit(from, to, b, Lost, false, injected, seq)
 		return
 	}
-	n.transmitLocked(datagram{from: from, to: to, frame: acquireFrame(b), injected: injected}, p.delay)
+	n.transmitLocked(datagram{from: from, to: to, frame: acquireFrame(b), injected: injected, seq: seq}, p.delay)
 	if p.dup {
 		n.cnt.Duplicated++
-		n.transmitLocked(datagram{from: from, to: to, frame: acquireFrame(b), duplicate: true, injected: injected}, p.dupDelay)
+		n.transmitLocked(datagram{from: from, to: to, frame: acquireFrame(b), duplicate: true, injected: injected, seq: seq}, p.dupDelay)
 	}
 }
 
@@ -553,13 +563,13 @@ func (n *Network) deliverLocked(d datagram) {
 		return
 	}
 	if (!d.injected && n.down[d.from]) || n.down[d.to] {
-		n.emit(d.from, d.to, *d.frame, DroppedDown, d.duplicate, d.injected)
+		n.emit(d.from, d.to, *d.frame, DroppedDown, d.duplicate, d.injected, d.seq)
 		releaseFrame(d.frame)
 		return
 	}
 	e, ok := n.destFor(d)
 	if !ok {
-		n.emit(d.from, d.to, *d.frame, DroppedDown, d.duplicate, d.injected)
+		n.emit(d.from, d.to, *d.frame, DroppedDown, d.duplicate, d.injected, d.seq)
 		releaseFrame(d.frame)
 		return
 	}
@@ -573,9 +583,9 @@ func (n *Network) deliverLocked(d datagram) {
 	}
 	select {
 	case e.inbox <- d:
-		n.emit(d.from, d.to, seen, Delivered, d.duplicate, d.injected)
+		n.emit(d.from, d.to, seen, Delivered, d.duplicate, d.injected, d.seq)
 	default:
-		n.emit(d.from, d.to, seen, Overflowed, d.duplicate, d.injected)
+		n.emit(d.from, d.to, seen, Overflowed, d.duplicate, d.injected, d.seq)
 		releaseFrame(d.frame)
 	}
 }
@@ -587,6 +597,7 @@ type datagram struct {
 	frame     *[]byte
 	duplicate bool
 	injected  bool
+	seq       uint64 // PacketEvent.SendSeq
 }
 
 // inboxCap bounds each endpoint's receive queue, standing in for the

@@ -60,5 +60,5 @@ func (in Injector) Inject(from, to netip.AddrPort, frame []byte) {
 		return
 	}
 	n.cnt.Injected++
-	n.forwardLocked(from, to, frame, true)
+	n.forwardLocked(from, to, frame, true, n.cnt.Sent)
 }

@@ -260,9 +260,6 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 type configDTO struct {
 	Harden           *bool    `json:"harden,omitempty"`
 	PendingTTL       *string  `json:"pending_ttl,omitempty"`
-	ReplayWindow     *string  `json:"replay_window,omitempty"`
-	PerSourceProbeHz *float64 `json:"per_source_probe_hz,omitempty"`
-	PerSourceBurst   *int     `json:"per_source_burst,omitempty"`
 	PerDeviceProbeHz *float64 `json:"per_device_probe_hz,omitempty"`
 	PerDeviceBurst   *int     `json:"per_device_burst,omitempty"`
 	AdmissionQueue   *int     `json:"admission_queue,omitempty"`
@@ -287,19 +284,6 @@ func (d *configDTO) apply(rc *fleet.RuntimeConfig) error {
 			return fmt.Errorf("pending_ttl: %w", err)
 		}
 		rc.PendingTTL = v
-	}
-	if d.ReplayWindow != nil {
-		v, err := time.ParseDuration(*d.ReplayWindow)
-		if err != nil {
-			return fmt.Errorf("replay_window: %w", err)
-		}
-		rc.ReplayWindow = v
-	}
-	if d.PerSourceProbeHz != nil {
-		rc.PerSourceProbeHz = *d.PerSourceProbeHz
-	}
-	if d.PerSourceBurst != nil {
-		rc.PerSourceBurst = *d.PerSourceBurst
 	}
 	if d.PerDeviceProbeHz != nil {
 		rc.PerDeviceProbeHz = *d.PerDeviceProbeHz
@@ -340,9 +324,6 @@ func (d *configDTO) apply(rc *fleet.RuntimeConfig) error {
 type configJSON struct {
 	Harden           bool    `json:"harden"`
 	PendingTTL       string  `json:"pending_ttl"`
-	ReplayWindow     string  `json:"replay_window"`
-	PerSourceProbeHz float64 `json:"per_source_probe_hz"`
-	PerSourceBurst   int     `json:"per_source_burst"`
 	PerDeviceProbeHz float64 `json:"per_device_probe_hz"`
 	PerDeviceBurst   int     `json:"per_device_burst"`
 	AdmissionQueue   int     `json:"admission_queue"`
@@ -357,9 +338,6 @@ func renderConfig(rc fleet.RuntimeConfig) configJSON {
 	return configJSON{
 		Harden:            rc.Harden,
 		PendingTTL:        rc.PendingTTL.String(),
-		ReplayWindow:      rc.ReplayWindow.String(),
-		PerSourceProbeHz:  rc.PerSourceProbeHz,
-		PerSourceBurst:    rc.PerSourceBurst,
 		PerDeviceProbeHz:  rc.PerDeviceProbeHz,
 		PerDeviceBurst:    rc.PerDeviceBurst,
 		AdmissionQueue:    rc.AdmissionQueue,

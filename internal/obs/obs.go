@@ -13,11 +13,11 @@
 // path as the benign fleet counters, so attack observability needs no
 // second pipeline.
 //
-// Scrapes are cheap: Fleet.Snapshot holds each shard's mutex for one
-// struct copy, so a counter scrape waits at most for the critical
-// section a shard's loop is in, and histograms are padded atomics read
-// with no mutex at all. /debug/flight holds each shard mutex a little
-// longer, to copy the event rings.
+// Scrapes are cheap: Fleet.Snapshot runs one struct copy on each
+// shard's loop, so a counter scrape waits at most for the work that
+// loop is in, and histograms are padded atomics read without waiting on
+// any loop. /debug/flight keeps each loop a little longer, to copy the
+// event rings.
 //
 // # Metric catalogue
 //

@@ -6,8 +6,8 @@ package trace
 // question — "what were the last N things this shard did before the
 // verdict fired?" — on a live daemon, at hot-path cost: recording one
 // event is a couple of stores into a preallocated ring, no allocation,
-// no locking of its own (the shard's event loop already serializes all
-// writers, and dumps take the same shard mutex briefly).
+// no locking of its own (the shard's event loop is its only user:
+// it records, and dumps run as commands on that loop).
 
 import (
 	"fmt"
@@ -70,8 +70,7 @@ type Event struct {
 // Ring is a bounded flight-recorder buffer: the newest Cap events win,
 // older ones are overwritten in place. Ring does no synchronization of
 // its own — in the fleet each shard owns one Ring and every Record and
-// Snapshot happens under that shard's mutex, which its event loop
-// already holds on the paths that record. Record never allocates.
+// Snapshot runs on that shard's event loop. Record never allocates.
 type Ring struct {
 	buf   []Event
 	total uint64
